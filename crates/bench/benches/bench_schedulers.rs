@@ -4,12 +4,12 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use lr_core::alg::AlgorithmKind;
-use lr_core::engine::{run_engine, SchedulePolicy, DEFAULT_MAX_STEPS};
-use lr_graph::generate;
+use lr_core::engine::{run_engine_frontier, SchedulePolicy, DEFAULT_MAX_STEPS};
+use lr_graph::stream;
 
 fn bench_policies(c: &mut Criterion) {
     let mut group = c.benchmark_group("ablation/scheduler");
-    let inst = generate::alternating_chain(129);
+    let inst = stream::alternating_chain(129);
     let policies: [(&str, SchedulePolicy); 4] = [
         ("greedy_rounds", SchedulePolicy::GreedyRounds),
         ("random_single", SchedulePolicy::RandomSingle { seed: 11 }),
@@ -22,8 +22,8 @@ fn bench_policies(c: &mut Criterion) {
             &policy,
             |b, &policy| {
                 b.iter(|| {
-                    let mut e = AlgorithmKind::PartialReversal.engine(&inst);
-                    let stats = run_engine(e.as_mut(), policy, DEFAULT_MAX_STEPS);
+                    let mut e = AlgorithmKind::PartialReversal.frontier_engine(inst.clone());
+                    let stats = run_engine_frontier(e.as_mut(), policy, DEFAULT_MAX_STEPS);
                     assert!(stats.terminated);
                     stats.total_reversals
                 })

@@ -1,6 +1,6 @@
-//! Throughput bench: the zero-allocation step pipeline vs the retained
-//! allocating reference, and the parallel greedy-rounds executor across
-//! the n ∈ {1k, 4k, 16k, 64k} × threads ∈ {1, 2, 4, 8} grid.
+//! Throughput bench: the sequential step pipeline, and the
+//! node-range-sharded greedy-rounds executor across the
+//! n ∈ {1k, 4k, 16k, 64k} × threads ∈ {1, 2, 4, 8} grid.
 //!
 //! Besides criterion's ns/iter output, every configuration's best
 //! sample is appended to the persisted trajectory (`BENCH_pr3.json`,
@@ -12,12 +12,11 @@ use std::time::Instant;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use lr_bench::trajectory::{append_records, BenchRecord};
-use lr_core::alg::{PairHeightsEngine, PrEngine, ReversalEngine, TripleHeightsEngine};
+use lr_core::alg::{AlgorithmKind, FrontierPairHeightsEngine};
 use lr_core::engine::{
-    run_engine, run_engine_alloc, run_engine_parallel, RunStats, SchedulePolicy, DEFAULT_MAX_STEPS,
+    run_engine_frontier, run_engine_frontier_sharded, RunStats, SchedulePolicy, DEFAULT_MAX_STEPS,
 };
-use lr_graph::generate;
-use lr_graph::ReversalInstance;
+use lr_graph::{generate, stream, CsrInstance};
 
 /// Capped prefix for the parallel grid: throughput needs steps, not
 /// termination.
@@ -63,44 +62,40 @@ fn timed<F: FnOnce() -> RunStats>(best_ns: &Cell<u64>, steps: &Cell<usize>, run:
 fn bench_seq_pipeline(c: &mut Criterion) {
     let mut group = c.benchmark_group("throughput/seq_pipeline");
     let n = if lr_bench::smoke_mode() { 256 } else { 4096 };
-    let inst = generate::alternating_chain(n + 1);
+    let inst = stream::alternating_chain(n + 1);
     let mut records = Vec::new();
-    fn make<'a>(alg: &str, inst: &'a ReversalInstance) -> Box<dyn ReversalEngine + 'a> {
-        match alg {
-            "PR" => Box::new(PrEngine::new(inst)),
-            _ => Box::new(TripleHeightsEngine::new(inst)),
-        }
-    }
-    for alg in ["PR", "GB-triple"] {
-        for (series, alloc) in [("seq_alloc", true), ("seq_zero_alloc", false)] {
-            let best_ns = Cell::new(u64::MAX);
-            let steps = Cell::new(0usize);
-            group.bench_with_input(
-                BenchmarkId::new(format!("{alg}/{series}"), n),
-                &inst,
-                |b, inst| {
-                    b.iter(|| {
-                        timed(&best_ns, &steps, || {
-                            let mut e = make(alg, inst);
-                            let run = if alloc { run_engine_alloc } else { run_engine };
-                            let stats =
-                                run(e.as_mut(), SchedulePolicy::GreedyRounds, DEFAULT_MAX_STEPS);
-                            assert!(stats.terminated);
-                            stats
-                        })
+    for kind in [AlgorithmKind::PartialReversal, AlgorithmKind::TripleHeights] {
+        let alg = kind.name();
+        let series = "seq_zero_alloc";
+        let best_ns = Cell::new(u64::MAX);
+        let steps = Cell::new(0usize);
+        group.bench_with_input(
+            BenchmarkId::new(format!("{alg}/{series}"), n),
+            &inst,
+            |b, inst| {
+                b.iter(|| {
+                    timed(&best_ns, &steps, || {
+                        let mut e = kind.frontier_engine(inst.clone());
+                        let stats = run_engine_frontier(
+                            e.as_mut(),
+                            SchedulePolicy::GreedyRounds,
+                            DEFAULT_MAX_STEPS,
+                        );
+                        assert!(stats.terminated);
+                        stats
                     })
-                },
-            );
-            records.push(make_record(
-                series,
-                alg,
-                "alternating_chain",
-                n,
-                1,
-                steps.get(),
-                best_ns.get(),
-            ));
-        }
+                })
+            },
+        );
+        records.push(make_record(
+            series,
+            alg,
+            "alternating_chain",
+            n,
+            1,
+            steps.get(),
+            best_ns.get(),
+        ));
     }
     group.finish();
     if let Err(e) = append_records(&records) {
@@ -124,7 +119,7 @@ fn bench_parallel_rounds(c: &mut Criterion) {
     for &n in sizes {
         // Full reversal via pair heights on the bipartite family: rounds
         // stay ~n/2 wide and the plan phase carries the O(Δ) height max.
-        let inst = generate::bipartite_away(n / 2, 8.min(n / 2), 1);
+        let inst = CsrInstance::from_instance(&generate::bipartite_away(n / 2, 8.min(n / 2), 1));
         for &threads in thread_counts {
             let best_ns = Cell::new(u64::MAX);
             let steps = Cell::new(0usize);
@@ -134,8 +129,8 @@ fn bench_parallel_rounds(c: &mut Criterion) {
                 |b, inst| {
                     b.iter(|| {
                         timed(&best_ns, &steps, || {
-                            let mut e = PairHeightsEngine::new(inst);
-                            run_engine_parallel(&mut e, threads, PARALLEL_STEP_BUDGET)
+                            let mut e = FrontierPairHeightsEngine::new(inst.clone());
+                            run_engine_frontier_sharded(&mut e, threads, PARALLEL_STEP_BUDGET)
                         })
                     })
                 },

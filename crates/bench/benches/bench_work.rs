@@ -3,18 +3,18 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use lr_core::alg::AlgorithmKind;
-use lr_core::engine::{run_engine, SchedulePolicy, DEFAULT_MAX_STEPS};
-use lr_graph::generate;
+use lr_core::engine::{run_engine_frontier, SchedulePolicy, DEFAULT_MAX_STEPS};
+use lr_graph::stream;
 
 fn bench_chain_away(c: &mut Criterion) {
     let mut group = c.benchmark_group("work/chain_away");
     for n in [32usize, 128] {
-        let inst = generate::chain_away(n);
+        let inst = stream::chain_away(n);
         for kind in [AlgorithmKind::FullReversal, AlgorithmKind::PartialReversal] {
             group.bench_with_input(BenchmarkId::new(kind.name(), n), &inst, |b, inst| {
                 b.iter(|| {
-                    let mut e = kind.engine(inst);
-                    run_engine(e.as_mut(), SchedulePolicy::GreedyRounds, DEFAULT_MAX_STEPS)
+                    let mut e = kind.frontier_engine(inst.clone());
+                    run_engine_frontier(e.as_mut(), SchedulePolicy::GreedyRounds, DEFAULT_MAX_STEPS)
                 })
             });
         }
@@ -25,12 +25,12 @@ fn bench_chain_away(c: &mut Criterion) {
 fn bench_alternating_chain(c: &mut Criterion) {
     let mut group = c.benchmark_group("work/alternating_chain");
     for n in [32usize, 128] {
-        let inst = generate::alternating_chain(n);
+        let inst = stream::alternating_chain(n);
         for kind in [AlgorithmKind::FullReversal, AlgorithmKind::PartialReversal] {
             group.bench_with_input(BenchmarkId::new(kind.name(), n), &inst, |b, inst| {
                 b.iter(|| {
-                    let mut e = kind.engine(inst);
-                    run_engine(e.as_mut(), SchedulePolicy::GreedyRounds, DEFAULT_MAX_STEPS)
+                    let mut e = kind.frontier_engine(inst.clone());
+                    run_engine_frontier(e.as_mut(), SchedulePolicy::GreedyRounds, DEFAULT_MAX_STEPS)
                 })
             });
         }
@@ -41,12 +41,12 @@ fn bench_alternating_chain(c: &mut Criterion) {
 fn bench_random(c: &mut Criterion) {
     let mut group = c.benchmark_group("work/random_connected");
     for n in [64usize, 256] {
-        let inst = generate::random_connected(n, 2 * n, 77);
+        let inst = stream::random_connected(n, 2 * n, 77);
         for kind in AlgorithmKind::ALL {
             group.bench_with_input(BenchmarkId::new(kind.name(), n), &inst, |b, inst| {
                 b.iter(|| {
-                    let mut e = kind.engine(inst);
-                    run_engine(e.as_mut(), SchedulePolicy::GreedyRounds, DEFAULT_MAX_STEPS)
+                    let mut e = kind.frontier_engine(inst.clone());
+                    run_engine_frontier(e.as_mut(), SchedulePolicy::GreedyRounds, DEFAULT_MAX_STEPS)
                 })
             });
         }

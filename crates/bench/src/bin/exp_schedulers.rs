@@ -10,8 +10,8 @@
 //! ```
 
 use lr_core::alg::AlgorithmKind;
-use lr_core::engine::{run_engine, SchedulePolicy, DEFAULT_MAX_STEPS};
-use lr_graph::{generate, ReversalInstance};
+use lr_core::engine::{run_engine_frontier, SchedulePolicy, DEFAULT_MAX_STEPS};
+use lr_graph::{generate, CsrInstance, ReversalInstance};
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -26,8 +26,8 @@ struct Row {
 }
 
 fn work(kind: AlgorithmKind, inst: &ReversalInstance, policy: SchedulePolicy) -> usize {
-    let mut e = kind.engine(inst);
-    let stats = run_engine(e.as_mut(), policy, DEFAULT_MAX_STEPS);
+    let mut e = kind.frontier_engine(CsrInstance::from_instance(inst));
+    let stats = run_engine_frontier(e.as_mut(), policy, DEFAULT_MAX_STEPS);
     assert!(stats.terminated);
     stats.total_reversals
 }

@@ -1,18 +1,23 @@
-//! Throughput of the step pipeline: steps/sec for the zero-allocation
-//! sequential path vs the retained PR 2 allocating path, for the
-//! parallel greedy-rounds executor across thread counts, for the
-//! PR 7 frontier engine against the map-backed path (with resident
-//! representation cost — bytes/node and bytes/half-edge — per row),
-//! for every algorithm family's PR 8 frontier engine against its
-//! map-backed reference, and for the PR 9 observability layer's
-//! overhead (the same frontier run with `lr-obs` off vs recording).
+//! Throughput of the step pipeline: steps/sec for the sequential
+//! zero-allocation path, for the node-range-sharded greedy-rounds
+//! executor across thread counts, for the PR engine on the scale
+//! families (with resident representation cost — bytes/node and
+//! bytes/half-edge — per row), for every algorithm family's engine, and
+//! for the observability layer's overhead (the same run with `lr-obs`
+//! off vs recording).
 //!
 //! Every measurement is appended to a machine-readable trajectory at
 //! the repo root (see `lr_bench::trajectory`): the step-pipeline and
 //! parallel rows to `BENCH_pr3.json`, the frontier/representation rows
-//! to `BENCH_pr7.json`, the per-family map-vs-frontier rows to
+//! to `BENCH_pr7.json`, the per-family frontier rows to
 //! `BENCH_pr8.json`, the obs-overhead rows to `BENCH_pr9.json`, in
 //! addition to the stdout table and `results/exp_throughput.json`.
+//! Rows recorded before the map-backed engines were retired also carry
+//! `seq_alloc` / `map_engine` series; `--verify` still parses them. The
+//! `seq_zero_alloc` and `parallel` names span that change: the first
+//! 122 `BENCH_pr3.json` rows time the map engines (`parallel` sharded by
+//! snapshot chunks), later rows the frontier engines (sharded by node
+//! range).
 //!
 //! ```sh
 //! cargo run --release -p lr-bench --bin exp_throughput             # measure
@@ -39,14 +44,11 @@ use lr_bench::trajectory::{
     SweepRecord, FRONTIER_FAMILY_TRAJECTORY, FRONTIER_TRAJECTORY, MODEL_CHECK_TRAJECTORY,
     OBS_TRAJECTORY, SCENARIO_TRAJECTORY, SERVE_TRAJECTORY, SWEEP_TRAJECTORY,
 };
-use lr_core::alg::{
-    FrontierFamily, FrontierPrEngine, PrEngine, ReversalEngine, TripleHeightsEngine,
-};
+use lr_core::alg::{AlgorithmKind, FrontierFamily, FrontierPrEngine, FrontierTripleHeightsEngine};
 use lr_core::engine::{
-    run_engine, run_engine_alloc, run_engine_frontier, run_engine_parallel, RunStats,
-    SchedulePolicy, DEFAULT_MAX_STEPS,
+    run_engine_frontier, run_engine_frontier_sharded, RunStats, SchedulePolicy, DEFAULT_MAX_STEPS,
 };
-use lr_graph::{generate, stream, CsrInstance, ReversalInstance};
+use lr_graph::{generate, stream, CsrInstance};
 use lr_obs::{ObsMode, ObsSession};
 use serde::Serialize;
 
@@ -260,85 +262,53 @@ fn main() -> ExitCode {
     let mut rows: Vec<Row> = Vec::new();
     let mut records: Vec<BenchRecord> = Vec::new();
 
-    // ── Series 1: PR 2 loop vs PR 3 zero-allocation pipeline ──
-    // Greedy rounds on the alternating chain — the Θ(n_b²) workload from
-    // the PR 2 baseline (~4.2 M steps at n = 4096, which was ~4.2 M+
-    // heap allocations on the old path). The reference is the PR 2 loop
-    // *faithfully*: per-step allocation AND per-step enabled-set edits,
-    // so the gap measures the whole PR 3 pipeline (zero-alloc steps +
-    // batched round merges), not allocation removal alone.
-    println!(
-        "sequential step pipeline: PR 2 loop (alloc + per-step enabled edits) vs PR 3 zero-alloc pipeline"
-    );
-    println!("(alternating chain, greedy rounds)\n");
-    let widths = [10usize, 8, 12, 14, 14, 8];
-    lr_bench::print_header(
-        &widths,
-        &["algorithm", "n", "steps", "alloc", "zero-alloc", "speedup"],
-    );
+    // ── Series 1: sequential zero-allocation pipeline ──
+    // Greedy rounds on the alternating chain — the Θ(n_b²) workload of
+    // `BENCH_pr3.json` series (~4.2 M steps at n = 4096).
+    println!("sequential step pipeline (alternating chain, greedy rounds)\n");
+    let widths = [10usize, 8, 12, 14];
+    lr_bench::print_header(&widths, &["algorithm", "n", "steps", "steps/sec"]);
     let seq_sizes: &[usize] = if smoke { &[256] } else { &[1024, 4096] };
-    fn make_engine<'a>(alg: &str, inst: &'a ReversalInstance) -> Box<dyn ReversalEngine + 'a> {
-        match alg {
-            "PR" => Box::new(PrEngine::new(inst)),
-            _ => Box::new(TripleHeightsEngine::new(inst)),
-        }
-    }
     for &n in seq_sizes {
-        let inst = generate::alternating_chain(n + 1);
-        for alg in ["PR", "GB-triple"] {
-            let (alloc_stats, alloc_ns) = best_of(3, || {
-                let mut e = make_engine(alg, &inst);
-                let stats =
-                    run_engine_alloc(e.as_mut(), SchedulePolicy::GreedyRounds, DEFAULT_MAX_STEPS);
+        let inst = stream::alternating_chain(n + 1);
+        for kind in [AlgorithmKind::PartialReversal, AlgorithmKind::TripleHeights] {
+            let (stats, ns) = best_of(3, || {
+                let mut e = kind.frontier_engine(inst.clone());
+                let stats = run_engine_frontier(
+                    e.as_mut(),
+                    SchedulePolicy::GreedyRounds,
+                    DEFAULT_MAX_STEPS,
+                );
                 assert!(stats.terminated);
                 stats
             });
-            let (za_stats, za_ns) = best_of(3, || {
-                let mut e = make_engine(alg, &inst);
-                let stats = run_engine(e.as_mut(), SchedulePolicy::GreedyRounds, DEFAULT_MAX_STEPS);
-                assert!(stats.terminated);
-                stats
-            });
-            assert_eq!(alloc_stats, za_stats, "loops must agree");
             lr_bench::print_row(
                 &widths,
                 &[
-                    alg.to_string(),
+                    kind.name().to_string(),
                     n.to_string(),
-                    za_stats.steps.to_string(),
-                    fmt_sps(BenchRecord::throughput(alloc_stats.steps, alloc_ns)),
-                    fmt_sps(BenchRecord::throughput(za_stats.steps, za_ns)),
-                    format!("{:.2}×", alloc_ns as f64 / za_ns as f64),
+                    stats.steps.to_string(),
+                    fmt_sps(BenchRecord::throughput(stats.steps, ns)),
                 ],
             );
             record(
                 &mut rows,
                 &mut records,
-                "seq_alloc",
-                alg,
-                "alternating_chain",
-                n,
-                1,
-                &alloc_stats,
-                alloc_ns,
-            );
-            record(
-                &mut rows,
-                &mut records,
                 "seq_zero_alloc",
-                alg,
+                kind.name(),
                 "alternating_chain",
                 n,
                 1,
-                &za_stats,
-                za_ns,
+                &stats,
+                ns,
             );
         }
     }
 
     // ── Series 2: parallel greedy rounds across thread counts ──
     // GB-triple (the heights formulation of PR) keeps the O(Δ) height
-    // computation in the plan phase, which is what the workers fan out.
+    // computation in the plan phase, which is what the node-range-sharded
+    // workers fan out.
     // The bipartite ping-pong family keeps every round ~n/2 wide with
     // tunable degree, so the plan phase carries real per-step work. Runs
     // are capped at PARALLEL_STEP_BUDGET steps — throughput needs steps,
@@ -355,12 +325,12 @@ fn main() -> ExitCode {
     };
     let thread_counts: &[usize] = if smoke { &[1, 2] } else { &[1, 2, 4, 8] };
     for &n in par_sizes {
-        let inst: ReversalInstance = generate::bipartite_away(n / 2, 8.min(n / 2), 1);
+        let inst = CsrInstance::from_instance(&generate::bipartite_away(n / 2, 8.min(n / 2), 1));
         let mut base_sps = 0.0f64;
         for &threads in thread_counts {
             let (stats, ns) = best_of(3, || {
-                let mut e = TripleHeightsEngine::new(&inst);
-                run_engine_parallel(&mut e, threads, PARALLEL_STEP_BUDGET)
+                let mut e = FrontierTripleHeightsEngine::new(inst.clone());
+                run_engine_frontier_sharded(&mut e, threads, PARALLEL_STEP_BUDGET)
             });
             let sps = BenchRecord::throughput(stats.steps, ns);
             if threads == 1 {
@@ -390,23 +360,15 @@ fn main() -> ExitCode {
         }
     }
 
-    // ── Series 3 (PR 7): map-backed engine vs frontier engine ──
-    // The same instance, twice: the map-backed path (materialized
-    // `ReversalInstance`, `PrEngine`, `run_engine`) against the flat
-    // path (streaming `CsrInstance`, `FrontierPrEngine`,
-    // `run_engine_frontier`). The two runs must produce identical
-    // RunStats — the bench doubles as a coarse equivalence check — and
-    // each row carries the resident representation cost, so the
-    // before/after bytes-per-half-edge trajectory is persisted next to
-    // the steps/sec one (`BENCH_pr7.json`).
-    println!("\nfrontier engine (PR 7): map-backed run_engine vs CSR-native run_engine_frontier (PR, greedy rounds)\n");
-    let widths3 = [12usize, 10, 12, 12, 12, 10, 10];
-    lr_bench::print_header(
-        &widths3,
-        &[
-            "family", "n", "steps", "map", "frontier", "B/HE old", "B/HE new",
-        ],
-    );
+    // ── Series 3 (`BENCH_pr7.json`): the PR engine at scale ──
+    // The flat path (streaming `CsrInstance`, `FrontierPrEngine`,
+    // `run_engine_frontier`) on chains and grids; each row carries
+    // the resident representation cost, so the bytes-per-half-edge
+    // trajectory is persisted next to the steps/sec one
+    // (`BENCH_pr7.json`).
+    println!("\nfrontier engine: run_engine_frontier on the scale families (PR, greedy rounds)\n");
+    let widths3 = [12usize, 10, 12, 12, 10];
+    lr_bench::print_header(&widths3, &["family", "n", "steps", "steps/sec", "B/HE"]);
     let mut frontier_records: Vec<FrontierRecord> = Vec::new();
     let frontier_cases: &[(&str, usize)] = if smoke {
         &[("chain_away", 1_024), ("grid_away", 1_024)]
@@ -421,12 +383,9 @@ fn main() -> ExitCode {
     for &(family, n) in frontier_cases {
         // Grid sizes are squares; the effective n is rows × cols.
         let side = (n as f64).sqrt().round() as usize;
-        let (inst_map, inst_flat): (ReversalInstance, CsrInstance) = match family {
-            "chain_away" => (generate::chain_away(n), stream::chain_away(n)),
-            _ => (
-                generate::grid_away(side, side),
-                stream::grid_away(side, side),
-            ),
+        let inst_flat = match family {
+            "chain_away" => stream::chain_away(n),
+            _ => stream::grid_away(side, side),
         };
         let n = inst_flat.node_count();
         let half_edges = inst_flat.half_edge_count();
@@ -434,77 +393,40 @@ fn main() -> ExitCode {
         // node runs terminate well inside the default budget; one sample
         // there keeps the bench's wall-clock reasonable.
         let samples = if n >= 1_000_000 { 1 } else { 3 };
-        let (map_stats, map_ns) = best_of(samples, || {
-            let mut e = PrEngine::new(&inst_map);
-            let stats = run_engine(&mut e, SchedulePolicy::GreedyRounds, DEFAULT_MAX_STEPS);
-            assert!(stats.terminated);
-            stats
-        });
-        let mut frontier_bytes = 0usize;
-        let (fr_stats, fr_ns) = best_of(samples, || {
+        let mut bytes = 0usize;
+        let (stats, ns) = best_of(samples, || {
             let mut e = FrontierPrEngine::new(inst_flat.clone());
             let stats =
                 run_engine_frontier(&mut e, SchedulePolicy::GreedyRounds, DEFAULT_MAX_STEPS);
             assert!(stats.terminated);
-            frontier_bytes = e.resident_bytes();
+            bytes = e.resident_bytes();
             stats
         });
-        assert_eq!(map_stats, fr_stats, "engine paths must agree");
-        let old_bytes = pre_pr7_resident_bytes(n, half_edges);
         lr_bench::print_row(
             &widths3,
             &[
                 family.to_string(),
                 n.to_string(),
-                fr_stats.steps.to_string(),
-                fmt_sps(BenchRecord::throughput(map_stats.steps, map_ns)),
-                fmt_sps(BenchRecord::throughput(fr_stats.steps, fr_ns)),
-                format!("{:.1}", old_bytes as f64 / half_edges as f64),
-                format!("{:.1}", frontier_bytes as f64 / half_edges as f64),
+                stats.steps.to_string(),
+                fmt_sps(BenchRecord::throughput(stats.steps, ns)),
+                format!("{:.1}", bytes as f64 / half_edges as f64),
             ],
         );
-        for (series, stats, ns, bytes) in [
-            ("map_engine", &map_stats, map_ns, old_bytes),
-            ("frontier_engine", &fr_stats, fr_ns, frontier_bytes),
-        ] {
-            frontier_records.push(FrontierRecord {
-                bench: "exp_throughput".into(),
-                series: series.into(),
-                algorithm: stats.algorithm.to_string(),
-                family: family.into(),
-                n,
-                half_edges,
-                cpus,
-                steps: stats.steps,
-                elapsed_ns: ns,
-                steps_per_sec: BenchRecord::throughput(stats.steps, ns),
-                resident_bytes: bytes,
-                bytes_per_node: bytes as f64 / n as f64,
-                bytes_per_half_edge: bytes as f64 / half_edges as f64,
-                smoke,
-            });
-        }
+        frontier_records.push(frontier_record(
+            family, n, half_edges, cpus, &stats, ns, bytes, smoke,
+        ));
     }
 
-    // ── Series 4 (PR 8): every family, map-backed vs frontier ──
-    // One map-vs-frontier pair per algorithm family, engine
-    // construction timed along with the run on both sides (at scale,
-    // building the map engine's BTreeMap state — and, for the heights
-    // families, the plane-embedding Kahn pass — is part of the cost
-    // the flat path removes). Instance family is chosen per algorithm
-    // so every run is Θ(n) total steps: FR and GB-pair are Θ(n²) on
-    // the away-chain (each reversal re-enables the neighbor nearer
-    // the destination), so they measure on the star; the PR-side
-    // families (PR, NewPR, GB-triple, BLL[PR]) are Θ(n) on the
-    // away-chain.
-    println!(
-        "\nfrontier engines (PR 8): map-backed run_engine vs CSR-native run_engine_frontier, all six families (greedy rounds)\n"
-    );
-    let widths4 = [10usize, 12, 10, 12, 12, 12, 10];
-    lr_bench::print_header(
-        &widths4,
-        &["alg", "family", "n", "steps", "map", "frontier", "speedup"],
-    );
+    // ── Series 4 (`BENCH_pr8.json`): every family ──
+    // One run per algorithm family, engine construction timed along
+    // with the run. Instance family is chosen per algorithm so every
+    // run is Θ(n) total steps: FR and GB-pair are Θ(n²) on the
+    // away-chain (each reversal re-enables the neighbor nearer the
+    // destination), so they measure on the star; the PR-side families
+    // (PR, NewPR, GB-triple, BLL[PR]) are Θ(n) on the away-chain.
+    println!("\nfrontier engines: run_engine_frontier, all six families (greedy rounds)\n");
+    let widths4 = [10usize, 12, 10, 12, 12];
+    lr_bench::print_header(&widths4, &["alg", "family", "n", "steps", "steps/sec"]);
     let mut family_records: Vec<FrontierRecord> = Vec::new();
     let family_sizes: &[usize] = if smoke {
         &[1_024]
@@ -517,31 +439,16 @@ fn main() -> ExitCode {
                 fam,
                 FrontierFamily::FullReversal | FrontierFamily::PairHeights
             );
-            let (family_name, inst_map, inst_flat): (&str, ReversalInstance, CsrInstance) = if star
-            {
-                (
-                    "star_away",
-                    generate::star_away(size),
-                    stream::star_away(size),
-                )
+            let (family_name, inst_flat) = if star {
+                ("star_away", stream::star_away(size))
             } else {
-                (
-                    "chain_away",
-                    generate::chain_away(size),
-                    stream::chain_away(size),
-                )
+                ("chain_away", stream::chain_away(size))
             };
             let n = inst_flat.node_count();
             let half_edges = inst_flat.half_edge_count();
             let samples = if n >= 1_000_000 { 1 } else { 3 };
-            let (map_stats, map_ns) = best_of(samples, || {
-                let mut e = fam.map_engine(&inst_map);
-                let stats = run_engine(e.as_mut(), SchedulePolicy::GreedyRounds, DEFAULT_MAX_STEPS);
-                assert!(stats.terminated);
-                stats
-            });
-            let mut frontier_bytes = 0usize;
-            let (fr_stats, fr_ns) = best_of(samples, || {
+            let mut bytes = 0usize;
+            let (stats, ns) = best_of(samples, || {
                 let mut e = fam.engine(inst_flat.clone());
                 let stats = run_engine_frontier(
                     e.as_mut(),
@@ -549,56 +456,34 @@ fn main() -> ExitCode {
                     DEFAULT_MAX_STEPS,
                 );
                 assert!(stats.terminated);
-                frontier_bytes = e.resident_bytes();
+                bytes = e.resident_bytes();
                 stats
             });
-            assert_eq!(
-                map_stats,
-                fr_stats,
-                "{}: engine paths must agree",
-                fam.name()
-            );
-            let old_bytes = pre_pr7_resident_bytes(n, half_edges);
-            let map_sps = BenchRecord::throughput(map_stats.steps, map_ns);
-            let fr_sps = BenchRecord::throughput(fr_stats.steps, fr_ns);
             lr_bench::print_row(
                 &widths4,
                 &[
                     fam.name().to_string(),
                     family_name.to_string(),
                     n.to_string(),
-                    fr_stats.steps.to_string(),
-                    fmt_sps(map_sps),
-                    fmt_sps(fr_sps),
-                    format!("{:.2}×", if map_sps > 0.0 { fr_sps / map_sps } else { 0.0 }),
+                    stats.steps.to_string(),
+                    fmt_sps(BenchRecord::throughput(stats.steps, ns)),
                 ],
             );
-            for (series, stats, ns, bytes) in [
-                ("map_engine", &map_stats, map_ns, old_bytes),
-                ("frontier_engine", &fr_stats, fr_ns, frontier_bytes),
-            ] {
-                family_records.push(FrontierRecord {
-                    bench: "exp_throughput".into(),
-                    series: series.into(),
-                    algorithm: stats.algorithm.to_string(),
-                    family: family_name.into(),
-                    n,
-                    half_edges,
-                    cpus,
-                    steps: stats.steps,
-                    elapsed_ns: ns,
-                    steps_per_sec: BenchRecord::throughput(stats.steps, ns),
-                    resident_bytes: bytes,
-                    bytes_per_node: bytes as f64 / n as f64,
-                    bytes_per_half_edge: bytes as f64 / half_edges as f64,
-                    smoke,
-                });
-            }
+            family_records.push(frontier_record(
+                family_name,
+                n,
+                half_edges,
+                cpus,
+                &stats,
+                ns,
+                bytes,
+                smoke,
+            ));
         }
     }
 
     // ── Series 5 (PR 9): observability overhead ──
-    // The frontier run from Series 4, re-measured under each `lr-obs`
+    // The run from Series 4, re-measured under each `lr-obs`
     // mode: `off` (instrumentation compiled in, level 0 — the gated
     // "disabled tracing is free" row), `summary` (per-round spans and
     // counters recording into atomics), and `chrome` (full event
@@ -862,13 +747,32 @@ fn verify_serve_rows(rows: &[ServeRecord]) -> bool {
     ok
 }
 
-/// Resident bytes of the **retired** pre-PR-7 representation on an
-/// instance with `n` nodes and `half_edges` half-edges — the "before"
-/// figure of the memory rows. Reproduces the old layout's arithmetic:
-/// CSR carried a node table (4 B/node), offsets (4 B/node + 4), targets,
-/// a redundant per-slot `sources` array, and twins (4 B/half-edge each),
-/// and `MirroredDirs` spent a full byte per half-edge on its `EdgeDir`
-/// vector.
-fn pre_pr7_resident_bytes(n: usize, half_edges: usize) -> usize {
-    4 * n + 4 * (n + 1) + 3 * 4 * half_edges + half_edges
+/// A `frontier_engine` row of `BENCH_pr7.json` / `BENCH_pr8.json`.
+#[allow(clippy::too_many_arguments)]
+fn frontier_record(
+    family: &str,
+    n: usize,
+    half_edges: usize,
+    cpus: usize,
+    stats: &RunStats,
+    ns: u64,
+    bytes: usize,
+    smoke: bool,
+) -> FrontierRecord {
+    FrontierRecord {
+        bench: "exp_throughput".into(),
+        series: "frontier_engine".into(),
+        algorithm: stats.algorithm.to_string(),
+        family: family.into(),
+        n,
+        half_edges,
+        cpus,
+        steps: stats.steps,
+        elapsed_ns: ns,
+        steps_per_sec: BenchRecord::throughput(stats.steps, ns),
+        resident_bytes: bytes,
+        bytes_per_node: bytes as f64 / n as f64,
+        bytes_per_half_edge: bytes as f64 / half_edges as f64,
+        smoke,
+    }
 }

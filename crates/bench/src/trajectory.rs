@@ -7,7 +7,9 @@
 //! Each trajectory is a JSON array of one record type:
 //!
 //! * `BENCH_pr3.json` — [`BenchRecord`] throughput rows from the step
-//!   pipeline experiments (PR 3);
+//!   pipeline experiments (PR 3); its first 122 rows time the retired
+//!   map-backed engines, later rows the frontier engines (see
+//!   [`BenchRecord::series`]);
 //! * `BENCH_pr4.json` ([`SCENARIO_TRAJECTORY`]) — [`ScenarioRecord`]
 //!   rows emitted by the `lr-scenario` sweep runner (PR 4): convergence
 //!   after churn, delivery rate, message counts, route stretch, and
@@ -18,14 +20,14 @@
 //! * `BENCH_pr6.json` ([`MODEL_CHECK_TRAJECTORY`]) — [`ModelCheckRecord`]
 //!   rows from the parallel model-checking sweeps (PR 6);
 //! * `BENCH_pr7.json` ([`FRONTIER_TRAJECTORY`]) — [`FrontierRecord`]
-//!   before/after rows from the frontier-engine and representation
-//!   experiments (PR 7): steps/sec *and* bytes/node + bytes/half-edge
-//!   for the map-backed path vs the flat CSR path;
+//!   rows from the frontier-engine and representation experiments:
+//!   steps/sec *and* bytes/node + bytes/half-edge for the flat
+//!   CSR path (historical rows pair it with the retired map-backed
+//!   path);
 //! * `BENCH_pr8.json` ([`FRONTIER_FAMILY_TRAJECTORY`]) —
-//!   [`FrontierRecord`] map-vs-frontier rows for **every** algorithm
-//!   family (PR 8): the same before/after shape as `BENCH_pr7.json`,
-//!   one pair per family × instance size now that all six families
-//!   have CSR-native frontier engines;
+//!   [`FrontierRecord`] rows for **every** algorithm family: the
+//!   same shape as `BENCH_pr7.json`, one row per family × instance size
+//!   (historical rows also carry a map-backed row per pair);
 //! * `BENCH_pr9.json` ([`OBS_TRAJECTORY`]) — [`ObsOverheadRecord`]
 //!   rows from the observability overhead series (PR 9): the same
 //!   frontier run measured with `lr-obs` off vs recording, so the
@@ -54,9 +56,16 @@ pub struct BenchRecord {
     /// Which harness produced the record (`exp_throughput`,
     /// `bench_throughput`).
     pub bench: String,
-    /// Measurement series: `seq_alloc` (allocating step reference),
-    /// `seq_zero_alloc` (zero-allocation pipeline), or `parallel`
-    /// (plan-phase fan-out).
+    /// Measurement series: `seq_zero_alloc` (zero-allocation pipeline),
+    /// `parallel` (plan-phase fan-out), or in historical rows
+    /// `seq_alloc` (the retired allocating step reference).
+    ///
+    /// The series names outlived a change of subject: the first 122
+    /// rows of `BENCH_pr3.json` time the retired map-backed engines,
+    /// with `parallel` sharding snapshot chunks; every later row times
+    /// the frontier engines, with `parallel` sharding node ranges. A
+    /// step between the two is a change of engine, not a performance
+    /// shift.
     pub series: String,
     /// Algorithm name as reported by the engine ("PR", "GB-triple", …).
     pub algorithm: String,
@@ -302,19 +311,20 @@ pub struct ModelCheckRecord {
 }
 
 /// One representation-scale measurement from the frontier-engine
-/// experiments (PR 7): the same instance run through the map-backed
-/// engine path (`series = "map_engine"`) and the flat CSR-native
-/// frontier path (`series = "frontier_engine"`), with the resident
+/// experiments: an instance run through the flat CSR-native
+/// engine path (`series = "frontier_engine"`), with the resident
 /// representation cost alongside the throughput so the
 /// bytes-per-half-edge trajectory is tracked the same way steps/sec is.
-/// Appended to [`FRONTIER_TRAJECTORY`].
+/// Rows recorded while the retired map-backed engines existed also
+/// carry their `series = "map_engine"` counterparts. Appended to
+/// [`FRONTIER_TRAJECTORY`] (and [`FRONTIER_FAMILY_TRAJECTORY`]).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FrontierRecord {
     /// Which harness produced the record (`exp_throughput`).
     pub bench: String,
-    /// Measurement series: `map_engine` (the before row — map-backed
-    /// instance + `run_engine`) or `frontier_engine` (the after row —
-    /// streaming CSR instance + `run_engine_frontier`).
+    /// Measurement series: `frontier_engine` (streaming CSR instance +
+    /// `run_engine_frontier`), or `map_engine` in historical rows (the
+    /// retired map-backed instance + engine).
     pub series: String,
     /// Algorithm name as reported by the engine ("PR").
     pub algorithm: String,
@@ -498,8 +508,8 @@ pub const OBS_TRAJECTORY: &str = "BENCH_pr9.json";
 pub const FRONTIER_TRAJECTORY: &str = "BENCH_pr7.json";
 
 /// File name of the all-families frontier trajectory at the repository
-/// root: [`FrontierRecord`] rows, one map-vs-frontier pair per
-/// algorithm family × instance size.
+/// root: [`FrontierRecord`] rows, one per algorithm family × instance
+/// size.
 pub const FRONTIER_FAMILY_TRAJECTORY: &str = "BENCH_pr8.json";
 
 /// File name of the model-checking trajectory at the repository root.

@@ -2,16 +2,15 @@
 //! automata, Full Reversal, the Gafni–Bertsekas height formulations, and a
 //! labeled-reversal generalization.
 //!
-//! Every algorithm is available in two forms:
-//!
-//! * an **engine** ([`ReversalEngine`]) — an imperative, in-place state
-//!   machine used by the run loops and benchmarks; and
-//! * an **automaton** ([`lr_ioa::Automaton`]) — a pure transition system
-//!   with cloneable states, used by the model checker and the simulation
-//!   relation machinery.
-//!
-//! Both forms share the same transition functions, so what is model-checked
-//! is what is benchmarked.
+//! Every algorithm family has one production engine, a flat CSR-native
+//! [`FrontierEngine`] built through [`FrontierFamily`] — the imperative,
+//! in-place state machine the run loops, the CLI and the benchmarks
+//! drive. The paper's own formal objects — the `OneStepPR`, `NewPR` and
+//! `PR`-set automata and Full Reversal ([`lr_ioa::Automaton`]s with
+//! cloneable map-backed states) — stay as the oracle: the model checker
+//! and the simulation relations run on them, and the differential suites
+//! pin every engine to them (or, for the heights and BLL families, to a
+//! minimal test-only reference).
 
 mod bll;
 mod frontier;
@@ -20,22 +19,20 @@ mod heights;
 mod newpr;
 mod pr;
 
-pub use bll::{BllEngine, BllLabeling, BllState, FrontierBllEngine};
+pub use bll::{BllLabeling, FrontierBllEngine};
 pub use frontier::{FrontierEngine, FrontierFamily, FrontierPrEngine};
-pub use full::{FrontierFrEngine, FullReversalAutomaton, FullReversalEngine, FullReversalState};
+pub use full::{FrontierFrEngine, FullReversalAutomaton, FullReversalState};
 pub use heights::{
-    FrontierPairHeightsEngine, FrontierTripleHeightsEngine, PairHeight, PairHeightsEngine,
-    TripleHeight, TripleHeightsEngine,
+    FrontierPairHeightsEngine, FrontierTripleHeightsEngine, PairHeight, TripleHeight,
 };
-pub use newpr::{newpr_step, FrontierNewPrEngine, NewPrAutomaton, NewPrEngine, NewPrState, Parity};
+pub use newpr::{newpr_step, FrontierNewPrEngine, NewPrAutomaton, NewPrState, Parity};
 pub use pr::{
-    onestep_pr_step, pr_reverse_set, OneStepPrAutomaton, PrEngine, PrSetAutomaton, PrState,
-    ReverseSet,
+    onestep_pr_step, pr_reverse_set, OneStepPrAutomaton, PrSetAutomaton, PrState, ReverseSet,
 };
 
 use std::sync::Arc;
 
-use lr_graph::{CsrGraph, CsrInstance, NodeId, Orientation, ReversalInstance};
+use lr_graph::{CsrGraph, CsrInstance, NodeId, Orientation};
 
 use crate::{PlanAux, ReversalStep, StepOutcome, StepScratch};
 
@@ -65,31 +62,20 @@ use crate::{PlanAux, ReversalStep, StepOutcome, StepScratch};
 /// * [`ReversalEngine::step_into`] is plan + apply — the
 ///   **zero-allocation hot path** the run loops use (one reusable
 ///   scratch per run);
-/// * [`ReversalEngine::step`] is the allocating compatibility wrapper
-///   (fresh buffer per call, owned [`ReversalStep`] result) retained
-///   for traces, tests, and the automaton cross-checks.
+/// * [`ReversalEngine::step`] is the allocating convenience wrapper
+///   (fresh buffer per call, owned [`ReversalStep`] result) used by
+///   traces and tests.
 ///
 /// Because the sinks of one greedy round are pairwise non-adjacent, a
 /// plan computed against the pre-round state equals the plan a
 /// sequential schedule would compute mid-round — which is what lets
-/// [`crate::engine::run_engine_parallel`] fan the plan phase out across
-/// worker threads and still produce bit-identical executions.
+/// [`crate::engine::run_engine_frontier_sharded`] fan the plan phase out
+/// across worker threads and still produce bit-identical executions.
 ///
 /// `Sync` is a supertrait so `&dyn ReversalEngine` can be shared with
 /// those plan workers; engines hold only plain data and are naturally
 /// `Sync`.
 pub trait ReversalEngine: Sync {
-    /// The map-backed instance this engine runs on, when it was built
-    /// from a [`ReversalInstance`] frontend. Flat CSR-native engines
-    /// (built from a streaming [`lr_graph::CsrInstance`], whose whole
-    /// point is to never materialize the map representation) return
-    /// `None`; callers that genuinely need the map form — trace
-    /// recording, the invariant checkers — must request a map-backed
-    /// engine.
-    fn instance(&self) -> Option<&ReversalInstance> {
-        None
-    }
-
     /// The destination node of the instance (never takes steps).
     fn dest(&self) -> NodeId;
 
@@ -111,19 +97,6 @@ pub trait ReversalEngine: Sync {
     /// destination, ascending — as an incrementally maintained view.
     /// O(1); no allocation.
     fn enabled(&self) -> &[NodeId];
-
-    /// The enabled nodes as an owned vector.
-    ///
-    /// Compatibility wrapper over [`ReversalEngine::enabled`] that
-    /// allocates a fresh `Vec` on every call. **Prefer the borrowed
-    /// [`ReversalEngine::enabled`] slice** (and `.to_vec()` it yourself
-    /// on the rare occasion an owned snapshot is genuinely needed); this
-    /// wrapper only survives for source compatibility with pre-PR-2
-    /// callers.
-    #[doc(hidden)]
-    fn enabled_nodes(&self) -> Vec<NodeId> {
-        self.enabled().to_vec()
-    }
 
     /// Plans node `u`'s reversal step against the **current** state
     /// without mutating it: writes the reversed neighbors (ascending)
@@ -160,10 +133,9 @@ pub trait ReversalEngine: Sync {
     /// Performs node `u`'s reversal step, returning an owned
     /// [`ReversalStep`].
     ///
-    /// Thin compatibility wrapper over [`ReversalEngine::step_into`]
-    /// that allocates a fresh buffer per call — exactly the pre-PR-3
-    /// behavior. Run loops use `step_into`; traces, tests, and one-shot
-    /// callers keep using this.
+    /// Thin wrapper over [`ReversalEngine::step_into`] that allocates a
+    /// fresh buffer per call. Run loops use `step_into`; traces, tests,
+    /// and one-shot callers use this.
     ///
     /// # Panics
     ///
@@ -240,23 +212,8 @@ impl AlgorithmKind {
         }
     }
 
-    /// Builds a fresh **map-backed** engine of this kind over `inst` —
-    /// the differential reference path. Callers that have (or can
-    /// stream) a flat [`CsrInstance`] should prefer
-    /// [`AlgorithmKind::frontier_engine`], the default fast path.
-    pub fn engine<'a>(self, inst: &'a ReversalInstance) -> Box<dyn ReversalEngine + 'a> {
-        match self {
-            AlgorithmKind::FullReversal => Box::new(FullReversalEngine::new(inst)),
-            AlgorithmKind::PartialReversal => Box::new(PrEngine::new(inst)),
-            AlgorithmKind::NewPr => Box::new(NewPrEngine::new(inst)),
-            AlgorithmKind::PairHeights => Box::new(PairHeightsEngine::new(inst)),
-            AlgorithmKind::TripleHeights => Box::new(TripleHeightsEngine::new(inst)),
-        }
-    }
-
-    /// Builds this kind's flat CSR-native [`FrontierEngine`] — the
-    /// default execution substrate since PR 8, step-for-step identical
-    /// to [`AlgorithmKind::engine`] by the frontier differential suite.
+    /// Builds this kind's engine: the flat CSR-native [`FrontierEngine`]
+    /// of its [`FrontierFamily`].
     pub fn frontier_engine(self, inst: CsrInstance) -> Box<dyn FrontierEngine> {
         FrontierFamily::from(self).engine(inst)
     }
@@ -265,7 +222,6 @@ impl AlgorithmKind {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lr_graph::generate;
 
     #[test]
     fn kind_names_are_distinct() {
@@ -276,37 +232,22 @@ mod tests {
 
     #[test]
     fn engines_constructed_for_all_kinds() {
-        let inst = generate::chain_away(4);
-        for kind in AlgorithmKind::ALL {
-            let e = kind.engine(&inst);
-            assert_eq!(e.dest(), inst.dest);
-            assert_eq!(e.instance().expect("map-backed engine").dest, inst.dest);
-            assert!(!e.is_terminated(), "{} should have work", kind.name());
-            assert_eq!(e.enabled(), &[lr_graph::NodeId::new(3)][..]);
-            // The allocating compat wrapper must mirror the borrowed view.
-            assert_eq!(e.enabled_nodes(), e.enabled().to_vec());
-        }
-    }
-
-    #[test]
-    fn frontier_engines_constructed_for_all_kinds() {
-        let inst = generate::chain_away(4);
-        let flat = lr_graph::CsrInstance::from_instance(&inst);
+        let flat = lr_graph::stream::chain_away(4);
         for kind in AlgorithmKind::ALL {
             let e = kind.frontier_engine(flat.clone());
-            assert_eq!(e.dest(), inst.dest);
+            assert_eq!(e.dest(), flat.dest());
             assert_eq!(e.algorithm_name(), kind.name());
-            assert!(e.instance().is_none(), "{} must stay flat", kind.name());
+            assert!(!e.is_terminated(), "{} should have work", kind.name());
             assert_eq!(e.enabled(), &[lr_graph::NodeId::new(3)][..]);
         }
     }
 
     #[test]
     fn default_step_wrapper_matches_step_into() {
-        let inst = generate::chain_away(5);
+        let flat = lr_graph::stream::chain_away(5);
         for kind in AlgorithmKind::ALL {
-            let mut a = kind.engine(&inst);
-            let mut b = kind.engine(&inst);
+            let mut a = kind.frontier_engine(flat.clone());
+            let mut b = kind.frontier_engine(flat.clone());
             let mut scratch = crate::StepScratch::new();
             let u = lr_graph::NodeId::new(4);
             let step = a.step(u);

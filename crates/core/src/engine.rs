@@ -6,37 +6,29 @@
 //! per-node work vector used by the game-theoretic comparison (E10) and
 //! NewPR's dummy-step count (E9).
 //!
-//! Every loop shares one driver (`drive`), so policy, budget, and
-//! stats logic exists once:
+//! There is one run loop (`drive`), so policy, budget, and stats logic
+//! exists once. It reads the engine's incremental enabled view, steps
+//! through the zero-allocation [`ReversalEngine::step_into`] pipeline
+//! (one [`StepScratch`] per run), and batches enabled-set merges per
+//! greedy round. Its entry points:
 //!
-//! * [`run_engine`] — the production path: incremental enabled view,
-//!   zero-allocation [`ReversalEngine::step_into`] pipeline (one
-//!   [`StepScratch`] per run), batched enabled-set merges per greedy
-//!   round.
-//! * [`run_engine_frontier`] — the same driver configuration, named for
-//!   the frontier engines it was built for; kept as the documented
-//!   entry point of the flat fast path.
-//! * [`run_engine_parallel`] — greedy rounds with the **plan phase
-//!   fanned out** across worker threads over snapshot chunks;
-//!   bit-identical to the sequential greedy run.
+//! * [`run_engine_frontier`] — the sequential loop under any
+//!   [`SchedulePolicy`];
 //! * [`run_engine_frontier_sharded`] — greedy rounds with the plan
-//!   phase sharded by **contiguous node ranges** (each worker owns a
-//!   fixed slice of the id space and plans the enabled nodes that fall
-//!   in it); also bit-identical at every thread count.
-//! * [`run_engine_scan`] — retained naive-rescan reference (pre-PR-2
-//!   behavior).
-//! * [`run_engine_alloc`] — retained allocating-step reference
-//!   (pre-PR-3 behavior: one owned [`crate::ReversalStep`] per step).
+//!   phase sharded by **contiguous node ranges** across worker threads
+//!   (each worker owns a fixed slice of the id space and plans the
+//!   enabled nodes that fall in it); bit-identical to the sequential
+//!   run at every thread count.
 //!
-//! The reference loops exist so the fast paths stay falsifiable: the
-//! differential suites (`tests/csr_differential.rs`,
-//! `tests/frontier_differential.rs`) check all of them produce
-//! identical [`RunStats`] on every engine configuration.
+//! The differential suites (`tests/csr_differential.rs`,
+//! `tests/frontier_differential.rs`) check the incremental enabled view
+//! against a full `is_sink` rescan after every step, and the sharded
+//! loop against the sequential one, on every engine.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use lr_graph::{CsrGraph, DirectedView, NodeId};
+use lr_graph::{CsrGraph, EdgeDir, NodeId};
 use lr_obs::MetricsShard;
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
@@ -45,7 +37,7 @@ use rand::{Rng, SeedableRng};
 use crate::alg::ReversalEngine;
 use crate::{PlanAux, StepOutcome, StepScratch};
 
-/// Scheduling policy for [`run_engine`].
+/// Scheduling policy for [`run_engine_frontier`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SchedulePolicy {
     /// Every current sink steps once per round (the paper's `reverse(S)`
@@ -181,76 +173,12 @@ impl StepBook {
     }
 }
 
-/// How the run loop learns which nodes are enabled.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum EnabledSource {
-    /// Borrow the engine's incrementally maintained view (O(Δ) per step).
-    Incremental,
-    /// Rescan every node through `is_sink` before each step — the
-    /// pre-refactor behavior, retained as a falsification reference.
-    Scan,
-}
-
-/// How the run loop performs each step.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum StepMode {
-    /// The zero-allocation pipeline: one reusable [`StepScratch`] for
-    /// the whole run, [`ReversalEngine::step_into`] per step.
-    ZeroAlloc,
-    /// The pre-PR-3 behavior, retained as a measurement reference: every
-    /// step goes through the allocating [`ReversalEngine::step`] wrapper
-    /// (a fresh buffer and an owned `ReversalStep` per step), the
-    /// bookkeeping re-resolves the node index, and greedy rounds edit
-    /// the enabled set per step instead of batching the round — the
-    /// PR 2 loop, faithfully.
-    Alloc,
-}
-
-fn scan_enabled(buf: &mut Vec<NodeId>, engine: &dyn ReversalEngine) {
-    buf.clear();
-    let dest = engine.dest();
-    // CSR nodes are in the same ascending order the map frontend
-    // produces, so the scan is usable for map-backed and flat engines
-    // alike.
-    buf.extend(
-        engine
-            .csr()
-            .nodes()
-            .filter(|&u| u != dest && engine.is_sink(u)),
-    );
-}
-
-/// One step under the chosen [`StepMode`], recorded into `book`.
-fn take_step(
-    engine: &mut dyn ReversalEngine,
-    book: &mut StepBook,
-    csr: &CsrGraph,
-    scratch: &mut StepScratch,
-    mode: StepMode,
-    u: NodeId,
-) {
-    match mode {
-        StepMode::ZeroAlloc => {
-            let outcome = engine.step_into(u, scratch);
-            book.record(&outcome);
-        }
-        StepMode::Alloc => {
-            let step = engine.step(u);
-            book.record(&StepOutcome {
-                node_idx: csr.index_of(step.node).expect("node exists"),
-                reversal_count: step.reversal_count(),
-                dummy: step.dummy,
-            });
-        }
-    }
-}
-
 /// One greedy round through the zero-allocation pipeline with batched
 /// enabled-set edits: every sink in `snapshot` steps once (stopping at
 /// the budget). Shared by `drive`'s sequential rounds and the
-/// small-round fast path of its parallel rounds, so the loops stay in
+/// small-round fast path of its sharded rounds, so the two stay in
 /// lockstep by construction — the bit-identical guarantee depends on it.
-fn greedy_round_zero_alloc(
+fn greedy_round(
     engine: &mut dyn ReversalEngine,
     snapshot: &[NodeId],
     book: &mut StepBook,
@@ -268,30 +196,11 @@ fn greedy_round_zero_alloc(
     engine.end_round();
 }
 
-/// How a parallel greedy round partitions its plan phase across workers.
-/// Both shardings hand each worker a **consecutive subslice** of the
-/// ascending round snapshot, so the sequential apply phase always runs
-/// in snapshot order — which is what keeps every thread count
-/// bit-identical to the sequential schedule.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Sharding {
-    /// Equal-length chunks of the round snapshot (PR 3's
-    /// [`run_engine_parallel`]): perfect load balance in node count,
-    /// but a worker's nodes wander the whole id space.
-    SnapshotChunks,
-    /// Contiguous node-index ranges (PR 8's
-    /// [`run_engine_frontier_sharded`]): worker `k` owns dense indices
-    /// `[k·⌈n/threads⌉, (k+1)·⌈n/threads⌉)` and plans the enabled nodes
-    /// falling in its range — a stable per-worker sub-worklist whose
-    /// CSR reads stay within one slice of the id space.
-    NodeRanges,
-}
-
 /// Obs handles for one `drive` invocation, resolved once at run start
 /// and only when a session is recording. When no session records the
 /// `Option` is `None` and each scheduling iteration pays one
 /// predictable local branch — the per-step hot loops
-/// ([`greedy_round_zero_alloc`], the plan/apply phases) are not
+/// ([`greedy_round`], the plan/apply phases) are not
 /// instrumented at all.
 struct DriveObs {
     run_span: lr_obs::Span,
@@ -313,9 +222,7 @@ fn drive(
     engine: &mut dyn ReversalEngine,
     policy: SchedulePolicy,
     max_steps: usize,
-    source: EnabledSource,
-    mode: StepMode,
-    parallel: Option<(ParallelConfig, Sharding)>,
+    parallel: Option<ParallelConfig>,
 ) -> RunStats {
     let algorithm = engine.algorithm_name();
     let mut obs = lr_obs::enabled().then(|| DriveObs::resolve(algorithm));
@@ -328,27 +235,19 @@ fn drive(
         _ => None,
     };
     let mut scratch = StepScratch::new();
-    // Reusable buffer: the greedy-round snapshot, and under `Scan` the
-    // rescanned enabled set. The incremental single-step policies never
+    // Reusable greedy-round snapshot. The single-step policies never
     // touch it — they read the engine's view directly.
     let mut snapshot: Vec<NodeId> = Vec::new();
     // Per-worker plan shards, reused across rounds (empty when the run
     // is sequential).
     let mut shards: Vec<PlanShard> = match parallel {
-        Some((cfg, _)) => (0..cfg.threads.max(1))
+        Some(cfg) => (0..cfg.threads.max(1))
             .map(|_| PlanShard::default())
             .collect(),
         None => Vec::new(),
     };
     loop {
-        let done = match source {
-            EnabledSource::Incremental => engine.is_terminated(),
-            EnabledSource::Scan => {
-                scan_enabled(&mut snapshot, engine);
-                snapshot.is_empty()
-            }
-        };
-        if done {
+        if engine.is_terminated() {
             terminated = true;
             break;
         }
@@ -357,14 +256,9 @@ fn drive(
         }
         // Frontier occupancy at the start of the iteration: the
         // enabled-set size every scheduling arm is about to draw from.
-        // Identical for `Incremental` and `Scan` (same set), for map
-        // and flat engines, and for serial and sharded rounds (same
-        // snapshot) — so the differential suites keep comparing whole
-        // `RunStats` values.
-        let frontier_len = match source {
-            EnabledSource::Scan => snapshot.len(),
-            EnabledSource::Incremental => engine.enabled().len(),
-        };
+        // Identical for serial and sharded rounds (same snapshot), so
+        // the differential suites keep comparing whole `RunStats` values.
+        let frontier_len = engine.enabled().len();
         book.frontier_occupancy += frontier_len;
         let _round_span = obs.as_ref().map(|o| {
             o.frontier_hist.observe(frontier_len as u64);
@@ -372,75 +266,41 @@ fn drive(
             span.arg("frontier", frontier_len as u64);
             span
         });
-        match policy {
+        let u = match policy {
             SchedulePolicy::GreedyRounds => {
                 // A maximal simultaneous step: every sink in the snapshot
                 // steps once. Sinks are pairwise non-adjacent, so
                 // sequential application equals the set action — and no
                 // one reads the enabled view until the round ends, so the
                 // engine batches its enabled-set edits into one merge.
-                if source == EnabledSource::Incremental {
-                    snapshot.clear();
-                    snapshot.extend_from_slice(engine.enabled());
-                }
+                snapshot.clear();
+                snapshot.extend_from_slice(engine.enabled());
                 rounds += 1;
-                match mode {
-                    StepMode::ZeroAlloc => match parallel {
-                        Some((cfg, sharding)) => planned_parallel_round(
-                            engine,
-                            &csr,
-                            &snapshot,
-                            &mut book,
-                            &mut scratch,
-                            &mut shards,
-                            cfg,
-                            sharding,
-                            max_steps,
-                        ),
-                        None => greedy_round_zero_alloc(
-                            engine,
-                            &snapshot,
-                            &mut book,
-                            &mut scratch,
-                            max_steps,
-                        ),
-                    },
-                    // The PR 2 reference mode keeps per-step enabled-set
-                    // edits (no round batching existed before PR 3).
-                    StepMode::Alloc => {
-                        for &u in &snapshot {
-                            take_step(engine, &mut book, &csr, &mut scratch, mode, u);
-                            if book.steps >= max_steps {
-                                break;
-                            }
-                        }
-                    }
+                match parallel {
+                    Some(cfg) => sharded_round(
+                        engine,
+                        &csr,
+                        &snapshot,
+                        &mut book,
+                        &mut scratch,
+                        &mut shards,
+                        cfg,
+                        max_steps,
+                    ),
+                    None => greedy_round(engine, &snapshot, &mut book, &mut scratch, max_steps),
                 }
+                continue;
             }
             SchedulePolicy::RandomSingle { .. } => {
                 let rng = rng.as_mut().expect("rng initialized for RandomSingle");
-                let u = *match source {
-                    EnabledSource::Incremental => engine.enabled().choose(rng),
-                    EnabledSource::Scan => snapshot.choose(rng),
-                }
-                .expect("enabled non-empty");
-                rounds += 1;
-                take_step(engine, &mut book, &csr, &mut scratch, mode, u);
+                *engine.enabled().choose(rng).expect("enabled non-empty")
             }
-            SchedulePolicy::FirstSingle | SchedulePolicy::LastSingle => {
-                let view = match source {
-                    EnabledSource::Incremental => engine.enabled(),
-                    EnabledSource::Scan => &snapshot,
-                };
-                let u = if policy == SchedulePolicy::FirstSingle {
-                    *view.first().expect("non-empty")
-                } else {
-                    *view.last().expect("non-empty")
-                };
-                rounds += 1;
-                take_step(engine, &mut book, &csr, &mut scratch, mode, u);
-            }
-        }
+            SchedulePolicy::FirstSingle => *engine.enabled().first().expect("non-empty"),
+            SchedulePolicy::LastSingle => *engine.enabled().last().expect("non-empty"),
+        };
+        rounds += 1;
+        let outcome = engine.step_into(u, &mut scratch);
+        book.record(&outcome);
     }
     let stats = book.into_stats(algorithm, rounds, terminated);
     if let Some(obs) = obs.as_mut() {
@@ -454,80 +314,10 @@ fn drive(
     stats
 }
 
-/// Drives `engine` until termination (no enabled node) or until
-/// `max_steps` node-steps have been taken, consuming the engine's
-/// incrementally maintained enabled view through the zero-allocation
-/// step pipeline: one [`StepScratch`] for the whole run, no per-step
-/// heap traffic after warm-up.
-///
-/// The engine is **not** reset first; callers compose runs on partially
-/// advanced engines when needed (the routing simulator does).
-pub fn run_engine(
-    engine: &mut dyn ReversalEngine,
-    policy: SchedulePolicy,
-    max_steps: usize,
-) -> RunStats {
-    drive(
-        engine,
-        policy,
-        max_steps,
-        EnabledSource::Incremental,
-        StepMode::ZeroAlloc,
-        None,
-    )
-}
-
-/// The retained **naive-scan reference loop**: identical scheduling and
-/// bookkeeping to [`run_engine`], but the enabled set is recomputed
-/// before every step by scanning all nodes through
-/// [`ReversalEngine::is_sink`] — the pre-PR-2 O(n·Δ)-per-step behavior.
-///
-/// Exists so the incremental machinery stays falsifiable: the
-/// differential suite (`tests/csr_differential.rs`) and the
-/// representation bench compare the two loops step-for-step.
-pub fn run_engine_scan(
-    engine: &mut dyn ReversalEngine,
-    policy: SchedulePolicy,
-    max_steps: usize,
-) -> RunStats {
-    drive(
-        engine,
-        policy,
-        max_steps,
-        EnabledSource::Scan,
-        StepMode::ZeroAlloc,
-        None,
-    )
-}
-
-/// The retained **PR 2 reference loop**: identical scheduling to
-/// [`run_engine`], but every step goes through the allocating
-/// [`ReversalEngine::step`] compatibility wrapper — a fresh buffer and
-/// an owned [`crate::ReversalStep`] per step, ~4.2 M allocations for
-/// one n = 4096 alternating-chain run — and greedy rounds pay the
-/// per-step sorted enabled-vector edits instead of the PR 3 batched
-/// round merge.
-///
-/// Exists as the measurement baseline for the zero-allocation pipeline
-/// (`exp_throughput`, `bench_throughput`) and as a differential
-/// reference for `step` vs `step_into` equivalence.
-pub fn run_engine_alloc(
-    engine: &mut dyn ReversalEngine,
-    policy: SchedulePolicy,
-    max_steps: usize,
-) -> RunStats {
-    drive(
-        engine,
-        policy,
-        max_steps,
-        EnabledSource::Incremental,
-        StepMode::Alloc,
-        None,
-    )
-}
-
-/// The **frontier-driven** run loop: drives `engine` keeping only the
-/// enabled frontier (and, inside the engine, its one-hop delta) hot.
+/// The **frontier-driven** run loop: drives `engine` until termination
+/// (no enabled node) or until `max_steps` node-steps have been taken,
+/// keeping only the enabled frontier (and, inside the engine, its
+/// one-hop delta) hot.
 ///
 /// Each greedy round snapshots the enabled frontier into a reusable
 /// buffer, steps every frontier node through the zero-allocation
@@ -539,28 +329,17 @@ pub fn run_engine_alloc(
 /// [`crate::alg::FrontierPrEngine`] run million-node instances without
 /// ever materializing one.
 ///
-/// Scheduling, bookkeeping, and round counting are [`run_engine`]'s —
-/// since PR 8 the two names share the driver **by construction** (one
-/// `drive` configuration) rather than by duplicated loops held in
-/// lockstep; the differential suite (`tests/frontier_differential.rs`)
-/// still pins them to identical [`RunStats`] and final orientations on
-/// every tested engine, size, and policy.
+/// The engine is **not** reset first; callers compose runs on partially
+/// advanced engines when needed (the routing simulator does).
 pub fn run_engine_frontier(
     engine: &mut dyn ReversalEngine,
     policy: SchedulePolicy,
     max_steps: usize,
 ) -> RunStats {
-    drive(
-        engine,
-        policy,
-        max_steps,
-        EnabledSource::Incremental,
-        StepMode::ZeroAlloc,
-        None,
-    )
+    drive(engine, policy, max_steps, None)
 }
 
-/// Tuning for [`run_engine_parallel_with`].
+/// Tuning for [`run_engine_frontier_sharded_with`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ParallelConfig {
     /// Worker-thread count for the plan phase (clamped to ≥ 1; 1 means
@@ -610,21 +389,24 @@ fn plan_shard(planner: &dyn ReversalEngine, shard: &mut PlanShard, nodes: &[Node
     }
 }
 
-/// One greedy round with the plan phase fanned out across crossbeam-
-/// scoped workers and a sequential apply — `drive`'s parallel round.
+/// One greedy round with the plan phase sharded across crossbeam-scoped
+/// workers and a sequential apply — `drive`'s parallel round.
 ///
-/// Every worker plans its sub-worklist against the shared **frozen
-/// pre-round state** (read-only borrow; a round's sinks are pairwise
-/// non-adjacent, so pre-round plans equal mid-round sequential plans).
-/// The apply phase then replays all planned steps on the caller thread
-/// in snapshot order — both shardings hand workers consecutive
-/// subslices of the ascending snapshot — reconciling every boundary
-/// half-edge and tracker delta in the deterministic sequential order.
-/// Rounds smaller than `cfg.min_parallel_round` (and everything when
-/// `cfg.threads == 1`) take the sequential fast path, which is exactly
-/// one [`run_engine`] round.
+/// Worker `k` owns dense indices `[k·⌈n/threads⌉, (k+1)·⌈n/threads⌉)`
+/// and plans the enabled nodes falling in its range — a stable
+/// per-worker sub-worklist whose CSR reads stay within one slice of the
+/// id space — against the shared **frozen pre-round state** (read-only
+/// borrow; a round's sinks are pairwise non-adjacent, so pre-round plans
+/// equal mid-round sequential plans). The apply phase then replays all
+/// planned steps on the caller thread in snapshot order — each worker's
+/// nodes are a consecutive subslice of the ascending snapshot —
+/// reconciling every boundary half-edge and tracker delta in the
+/// deterministic sequential order. Rounds smaller than
+/// `cfg.min_parallel_round` (and everything when `cfg.threads == 1`)
+/// take the sequential fast path, which is exactly one [`run_engine_frontier`]
+/// round.
 #[allow(clippy::too_many_arguments)]
-fn planned_parallel_round(
+fn sharded_round(
     engine: &mut dyn ReversalEngine,
     csr: &CsrGraph,
     snapshot: &[NodeId],
@@ -632,13 +414,12 @@ fn planned_parallel_round(
     scratch: &mut StepScratch,
     shards: &mut [PlanShard],
     cfg: ParallelConfig,
-    sharding: Sharding,
     max_steps: usize,
 ) {
     let threads = cfg.threads.max(1);
     if threads == 1 || snapshot.len() < cfg.min_parallel_round {
-        // Sequential fast path — exactly one `run_engine` round.
-        greedy_round_zero_alloc(engine, snapshot, book, scratch, max_steps);
+        // Sequential fast path — exactly one `run_engine_frontier` round.
+        greedy_round(engine, snapshot, book, scratch, max_steps);
         return;
     }
     // Plan phase: workers read the shared pre-round state.
@@ -646,32 +427,24 @@ fn planned_parallel_round(
         shard.recs.clear();
         shard.targets.clear();
     }
+    // The snapshot is ascending by id, and dense CSR indices are
+    // ascending by id too, so each worker's sub-worklist is the
+    // consecutive run of snapshot entries inside its index range.
     let mut slices: Vec<&[NodeId]> = Vec::with_capacity(threads);
-    match sharding {
-        Sharding::SnapshotChunks => {
-            let chunk = snapshot.len().div_ceil(threads);
-            slices.extend(snapshot.chunks(chunk));
+    let chunk = csr.node_count().div_ceil(threads);
+    let mut lo = 0usize;
+    for k in 0..threads {
+        let hi = if k + 1 == threads {
+            snapshot.len()
+        } else {
+            let bound = (k + 1) * chunk;
+            lo + snapshot[lo..]
+                .partition_point(|&u| csr.index_of(u).expect("enabled node exists") < bound)
+        };
+        if hi > lo {
+            slices.push(&snapshot[lo..hi]);
         }
-        Sharding::NodeRanges => {
-            // The snapshot is ascending by id, and dense CSR indices are
-            // ascending by id too, so each worker's sub-worklist is the
-            // consecutive run of snapshot entries inside its index range.
-            let chunk = csr.node_count().div_ceil(threads);
-            let mut lo = 0usize;
-            for k in 0..threads {
-                let hi = if k + 1 == threads {
-                    snapshot.len()
-                } else {
-                    let bound = (k + 1) * chunk;
-                    lo + snapshot[lo..]
-                        .partition_point(|&u| csr.index_of(u).expect("enabled node exists") < bound)
-                };
-                if hi > lo {
-                    slices.push(&snapshot[lo..hi]);
-                }
-                lo = hi;
-            }
-        }
+        lo = hi;
     }
     let planner: &dyn ReversalEngine = engine;
     crossbeam::thread::scope(|s| {
@@ -704,47 +477,6 @@ fn planned_parallel_round(
     engine.end_round();
 }
 
-/// [`run_engine`] for [`SchedulePolicy::GreedyRounds`] with the **plan
-/// phase of each round fanned out across worker threads**, default
-/// tuning. See [`run_engine_parallel_with`].
-pub fn run_engine_parallel(
-    engine: &mut dyn ReversalEngine,
-    threads: usize,
-    max_steps: usize,
-) -> RunStats {
-    run_engine_parallel_with(engine, ParallelConfig::new(threads), max_steps)
-}
-
-/// Greedy-rounds execution with parallel planning, explicit tuning.
-///
-/// Each round snapshots the enabled slice, partitions it across
-/// `cfg.threads` crossbeam-scoped workers that **plan** their shard's
-/// steps against the shared pre-round state (read-only, one scratch per
-/// shard), then applies every planned step on the caller thread in
-/// snapshot order. Because a round's sinks are pairwise non-adjacent,
-/// plans computed against the pre-round state equal the plans a
-/// sequential schedule would compute mid-round, and the sequential apply
-/// merges the out-count deltas deterministically — so the resulting
-/// [`RunStats`], final state, and enabled sets are **bit-identical** to
-/// [`run_engine`] under [`SchedulePolicy::GreedyRounds`].
-///
-/// Rounds smaller than `cfg.min_parallel_round` (and everything when
-/// `cfg.threads == 1`) take the sequential fast path.
-pub fn run_engine_parallel_with(
-    engine: &mut dyn ReversalEngine,
-    cfg: ParallelConfig,
-    max_steps: usize,
-) -> RunStats {
-    drive(
-        engine,
-        SchedulePolicy::GreedyRounds,
-        max_steps,
-        EnabledSource::Incremental,
-        StepMode::ZeroAlloc,
-        Some((cfg, Sharding::SnapshotChunks)),
-    )
-}
-
 /// [`run_engine_frontier`] for [`SchedulePolicy::GreedyRounds`] with the
 /// plan phase **sharded by contiguous node ranges** across worker
 /// threads, default tuning. See [`run_engine_frontier_sharded_with`].
@@ -768,30 +500,17 @@ pub fn run_engine_frontier_sharded(
 /// boundary half-edges — a planned reversal whose twin slot lives in
 /// another worker's range — and the enabled-tracker deltas in the same
 /// deterministic order the sequential schedule would have used. The
-/// freeze/shard/fold discipline is PRs 3/5/6's; the resulting
-/// [`RunStats`], final state, and enabled sets are **bit-identical** to
-/// [`run_engine`] / [`run_engine_frontier`] under
+/// resulting [`RunStats`], final state, and enabled sets are
+/// **bit-identical** to [`run_engine_frontier`] under
 /// [`SchedulePolicy::GreedyRounds`] at every thread count
-/// (`tests/frontier_differential.rs`).
-///
-/// Compared to [`run_engine_parallel_with`]'s snapshot chunking, range
-/// sharding gives each worker a stable slice of the id space across
-/// rounds — its CSR and direction-bit reads for planning stay within
-/// that slice, which is the layout a future multi-process split of the
-/// arrays would inherit.
+/// (`tests/frontier_differential.rs`). A worker's CSR and direction-bit
+/// reads for planning stay within its slice of the id space.
 pub fn run_engine_frontier_sharded_with(
     engine: &mut dyn ReversalEngine,
     cfg: ParallelConfig,
     max_steps: usize,
 ) -> RunStats {
-    drive(
-        engine,
-        SchedulePolicy::GreedyRounds,
-        max_steps,
-        EnabledSource::Incremental,
-        StepMode::ZeroAlloc,
-        Some((cfg, Sharding::NodeRanges)),
-    )
+    drive(engine, SchedulePolicy::GreedyRounds, max_steps, Some(cfg))
 }
 
 /// Runs and asserts the link-reversal postcondition: the final orientation
@@ -807,69 +526,59 @@ pub fn run_to_destination_oriented(
     policy: SchedulePolicy,
     max_steps: usize,
 ) -> RunStats {
-    let stats = run_engine(engine, policy, max_steps);
+    let stats = run_engine_frontier(engine, policy, max_steps);
     assert!(
         stats.terminated,
         "{} did not terminate within {max_steps} steps",
         stats.algorithm
     );
+    // Check the postcondition over the CSR snapshot. For a connected
+    // graph, destination-oriented is equivalent to acyclic with the
+    // destination as the unique sink.
     let o = engine.orientation();
-    if let Some(inst) = engine.instance() {
-        let view = DirectedView::new(&inst.graph, &o);
-        assert!(view.is_acyclic(), "{} broke acyclicity", stats.algorithm);
+    let csr = engine.csr();
+    let dest = engine.dest();
+    let mut outdeg = vec![0u32; csr.node_count()];
+    for (src, deg) in outdeg.iter_mut().enumerate() {
+        let u = csr.node(src);
+        for slot in csr.slots(src) {
+            let v = csr.node(csr.target(slot));
+            if o.dir(u, v).expect("orientation covers every edge") == EdgeDir::Out {
+                *deg += 1;
+            }
+        }
+    }
+    // Kahn's algorithm on the reverse graph: repeatedly peel sinks.
+    let mut queue: Vec<usize> = (0..csr.node_count()).filter(|&i| outdeg[i] == 0).collect();
+    for &i in &queue {
         assert!(
-            view.is_destination_oriented(inst.dest),
-            "{} terminated non-destination-oriented",
-            stats.algorithm
-        );
-    } else {
-        // Flat CSR-native engine: check the postcondition over the CSR
-        // snapshot. For a connected graph, destination-oriented is
-        // equivalent to acyclic with the destination as the unique sink.
-        let csr = engine.csr();
-        let dest = engine.dest();
-        let mut outdeg = vec![0u32; csr.node_count()];
-        for (src, deg) in outdeg.iter_mut().enumerate() {
-            let u = csr.node(src);
-            for slot in csr.slots(src) {
-                let v = csr.node(csr.target(slot));
-                if o.dir(u, v).expect("orientation covers every edge") == lr_graph::EdgeDir::Out {
-                    *deg += 1;
-                }
-            }
-        }
-        // Kahn's algorithm on the reverse graph: repeatedly peel sinks.
-        let mut queue: Vec<usize> = (0..csr.node_count()).filter(|&i| outdeg[i] == 0).collect();
-        for &i in &queue {
-            assert!(
-                csr.node(i) == dest || csr.degree(i) == 0,
-                "{} terminated non-destination-oriented: {} is a sink",
-                stats.algorithm,
-                csr.node(i)
-            );
-        }
-        let mut peeled = 0usize;
-        while let Some(i) = queue.pop() {
-            peeled += 1;
-            let u = csr.node(i);
-            for slot in csr.slots(i) {
-                let src = csr.target(slot);
-                let v = csr.node(src);
-                if o.dir(v, u).expect("orientation covers every edge") == lr_graph::EdgeDir::Out {
-                    outdeg[src] -= 1;
-                    if outdeg[src] == 0 {
-                        queue.push(src);
-                    }
-                }
-            }
-        }
-        assert_eq!(
-            peeled,
-            csr.node_count(),
-            "{} broke acyclicity",
-            stats.algorithm
+            csr.node(i) == dest || csr.degree(i) == 0,
+            "{} terminated non-destination-oriented: {} is a sink",
+            stats.algorithm,
+            csr.node(i)
         );
     }
+    let mut peeled = 0usize;
+    while let Some(i) = queue.pop() {
+        peeled += 1;
+        let u = csr.node(i);
+        for slot in csr.slots(i) {
+            let src = csr.target(slot);
+            let v = csr.node(src);
+            if o.dir(v, u).expect("orientation covers every edge") == EdgeDir::Out {
+                outdeg[src] -= 1;
+                if outdeg[src] == 0 {
+                    queue.push(src);
+                }
+            }
+        }
+    }
+    assert_eq!(
+        peeled,
+        csr.node_count(),
+        "{} broke acyclicity",
+        stats.algorithm
+    );
     stats
 }
 
@@ -894,12 +603,14 @@ pub fn advance_randomly(engine: &mut dyn ReversalEngine, steps: usize, seed: u64
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::alg::{AlgorithmKind, NewPrEngine, PrEngine};
-    use lr_graph::generate;
+    use crate::alg::{
+        AlgorithmKind, FrontierFamily, FrontierFrEngine, FrontierNewPrEngine, FrontierPrEngine,
+    };
+    use lr_graph::{stream, CsrInstance};
 
     #[test]
     fn all_algorithms_terminate_on_chain_under_all_policies() {
-        let inst = generate::chain_away(9);
+        let flat = stream::chain_away(9);
         let policies = [
             SchedulePolicy::GreedyRounds,
             SchedulePolicy::RandomSingle { seed: 3 },
@@ -908,7 +619,7 @@ mod tests {
         ];
         for kind in AlgorithmKind::ALL {
             for policy in policies {
-                let mut engine = kind.engine(&inst);
+                let mut engine = kind.frontier_engine(flat.clone());
                 let stats = run_to_destination_oriented(engine.as_mut(), policy, DEFAULT_MAX_STEPS);
                 assert!(stats.terminated);
                 assert!(stats.steps > 0);
@@ -923,20 +634,19 @@ mod tests {
 
     #[test]
     fn greedy_rounds_counts_rounds_not_steps() {
-        let inst = generate::star_away(6); // 6 sinks step in round 1
-        let mut e = PrEngine::new(&inst);
-        let stats = run_engine(&mut e, SchedulePolicy::GreedyRounds, DEFAULT_MAX_STEPS);
+        let mut e = FrontierPrEngine::new(stream::star_away(6)); // 6 sinks step in round 1
+        let stats = run_engine_frontier(&mut e, SchedulePolicy::GreedyRounds, DEFAULT_MAX_STEPS);
         assert!(stats.terminated);
         assert!(stats.rounds < stats.steps || stats.steps <= 1);
     }
 
     #[test]
     fn random_runs_reproducible_by_seed() {
-        let inst = generate::random_connected(14, 10, 5);
-        let mut a = PrEngine::new(&inst);
-        let sa = run_engine(&mut a, SchedulePolicy::RandomSingle { seed: 9 }, 100_000);
-        let mut b = PrEngine::new(&inst);
-        let sb = run_engine(&mut b, SchedulePolicy::RandomSingle { seed: 9 }, 100_000);
+        let flat = stream::random_connected(14, 10, 5);
+        let mut a = FrontierPrEngine::new(flat.clone());
+        let sa = run_engine_frontier(&mut a, SchedulePolicy::RandomSingle { seed: 9 }, 100_000);
+        let mut b = FrontierPrEngine::new(flat);
+        let sb = run_engine_frontier(&mut b, SchedulePolicy::RandomSingle { seed: 9 }, 100_000);
         assert_eq!(sa, sb);
         assert_eq!(a.orientation(), b.orientation());
     }
@@ -946,7 +656,7 @@ mod tests {
         // Star centered on an initial sink with the destination at a leaf
         // forces dummy steps for the other leaves (initial sources).
         let inst = lr_graph::parse::parse_instance("dest 3\n1 > 0\n2 > 0\n3 > 0").unwrap();
-        let mut e = NewPrEngine::new(&inst);
+        let mut e = FrontierNewPrEngine::new(CsrInstance::from_instance(&inst));
         let stats =
             run_to_destination_oriented(&mut e, SchedulePolicy::FirstSingle, DEFAULT_MAX_STEPS);
         assert!(stats.dummy_steps > 0, "expected dummy steps, got none");
@@ -955,17 +665,15 @@ mod tests {
 
     #[test]
     fn step_budget_is_respected() {
-        let inst = generate::chain_away(64);
-        let mut e = crate::alg::FullReversalEngine::new(&inst);
-        let stats = run_engine(&mut e, SchedulePolicy::FirstSingle, 10);
+        let mut e = FrontierFrEngine::new(stream::chain_away(64));
+        let stats = run_engine_frontier(&mut e, SchedulePolicy::FirstSingle, 10);
         assert!(!stats.terminated);
         assert_eq!(stats.steps, 10);
     }
 
     #[test]
     fn advance_randomly_stops_at_termination() {
-        let inst = generate::chain_away(4);
-        let mut e = PrEngine::new(&inst);
+        let mut e = FrontierPrEngine::new(stream::chain_away(4));
         let taken = advance_randomly(&mut e, 10_000, 1);
         assert!(taken < 10_000);
         assert!(e.is_terminated());
@@ -973,18 +681,16 @@ mod tests {
 
     #[test]
     fn social_cost_and_max_work_accessors() {
-        let inst = generate::chain_away(6);
-        let mut e = PrEngine::new(&inst);
-        let stats = run_engine(&mut e, SchedulePolicy::GreedyRounds, DEFAULT_MAX_STEPS);
+        let mut e = FrontierPrEngine::new(stream::chain_away(6));
+        let stats = run_engine_frontier(&mut e, SchedulePolicy::GreedyRounds, DEFAULT_MAX_STEPS);
         assert_eq!(stats.social_cost(), stats.steps);
         assert!(stats.max_node_work() >= 1);
     }
 
     #[test]
     fn work_per_node_map_mirrors_dense_vector() {
-        let inst = generate::alternating_chain(9);
-        let mut e = PrEngine::new(&inst);
-        let stats = run_engine(&mut e, SchedulePolicy::GreedyRounds, DEFAULT_MAX_STEPS);
+        let mut e = FrontierPrEngine::new(stream::alternating_chain(9));
+        let stats = run_engine_frontier(&mut e, SchedulePolicy::GreedyRounds, DEFAULT_MAX_STEPS);
         let map = stats.work_per_node(e.csr());
         assert_eq!(map.len(), stats.work.len());
         for (i, u) in e.csr().nodes().enumerate() {
@@ -993,69 +699,8 @@ mod tests {
     }
 
     #[test]
-    fn alloc_reference_loop_matches_zero_alloc_loop() {
-        let inst = generate::alternating_chain(17);
-        for policy in [
-            SchedulePolicy::GreedyRounds,
-            SchedulePolicy::RandomSingle { seed: 11 },
-            SchedulePolicy::FirstSingle,
-            SchedulePolicy::LastSingle,
-        ] {
-            let mut fast = PrEngine::new(&inst);
-            let fast_stats = run_engine(&mut fast, policy, DEFAULT_MAX_STEPS);
-            let mut slow = PrEngine::new(&inst);
-            let slow_stats = run_engine_alloc(&mut slow, policy, DEFAULT_MAX_STEPS);
-            assert_eq!(fast_stats, slow_stats);
-            assert_eq!(fast.orientation(), slow.orientation());
-        }
-    }
-
-    #[test]
-    fn parallel_greedy_is_bit_identical_to_sequential() {
-        let inst = generate::alternating_chain(65);
-        for kind in AlgorithmKind::ALL {
-            let mut seq = kind.engine(&inst);
-            let seq_stats = run_engine(
-                seq.as_mut(),
-                SchedulePolicy::GreedyRounds,
-                DEFAULT_MAX_STEPS,
-            );
-            for threads in [1usize, 2, 4, 8] {
-                let mut par = kind.engine(&inst);
-                // min_parallel_round: 0 forces the parallel path even on
-                // this small instance.
-                let cfg = ParallelConfig {
-                    threads,
-                    min_parallel_round: 0,
-                };
-                let par_stats = run_engine_parallel_with(par.as_mut(), cfg, DEFAULT_MAX_STEPS);
-                assert_eq!(par_stats, seq_stats, "{} × {threads} threads", kind.name());
-                assert_eq!(par.orientation(), seq.orientation());
-                assert_eq!(par.enabled(), seq.enabled());
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_respects_step_budget() {
-        let inst = generate::alternating_chain(65);
-        let mut seq = PrEngine::new(&inst);
-        let seq_stats = run_engine(&mut seq, SchedulePolicy::GreedyRounds, 100);
-        let mut par = PrEngine::new(&inst);
-        let cfg = ParallelConfig {
-            threads: 4,
-            min_parallel_round: 0,
-        };
-        let par_stats = run_engine_parallel_with(&mut par, cfg, 100);
-        assert!(!par_stats.terminated);
-        assert_eq!(par_stats, seq_stats);
-    }
-
-    #[test]
     fn sharded_greedy_is_bit_identical_to_sequential_for_every_family() {
-        use crate::alg::FrontierFamily;
-        let inst = generate::alternating_chain(65);
-        let flat = lr_graph::CsrInstance::from_instance(&inst);
+        let flat = stream::alternating_chain(65);
         for family in FrontierFamily::ALL {
             let mut seq = family.engine(flat.clone());
             let seq_stats = run_engine_frontier(
@@ -1087,10 +732,10 @@ mod tests {
 
     #[test]
     fn sharded_respects_step_budget() {
-        let flat = lr_graph::stream::alternating_chain(65);
-        let mut seq = crate::alg::FrontierPrEngine::new(flat.clone());
+        let flat = stream::alternating_chain(65);
+        let mut seq = FrontierPrEngine::new(flat.clone());
         let seq_stats = run_engine_frontier(&mut seq, SchedulePolicy::GreedyRounds, 100);
-        let mut par = crate::alg::FrontierPrEngine::new(flat);
+        let mut par = FrontierPrEngine::new(flat);
         let cfg = ParallelConfig {
             threads: 4,
             min_parallel_round: 0,
@@ -1102,8 +747,7 @@ mod tests {
 
     #[test]
     fn sharded_handles_more_threads_than_nodes() {
-        let flat = lr_graph::stream::chain_away(4);
-        let mut e = crate::alg::FrontierPrEngine::new(flat);
+        let mut e = FrontierPrEngine::new(stream::chain_away(4));
         let cfg = ParallelConfig {
             threads: 16,
             min_parallel_round: 0,

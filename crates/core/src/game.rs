@@ -13,11 +13,11 @@
 
 use std::collections::BTreeMap;
 
-use lr_graph::{NodeId, ReversalInstance};
+use lr_graph::{CsrInstance, NodeId, ReversalInstance};
 use serde::Serialize;
 
 use crate::alg::AlgorithmKind;
-use crate::engine::{run_engine, SchedulePolicy, DEFAULT_MAX_STEPS};
+use crate::engine::{run_engine_frontier, SchedulePolicy, DEFAULT_MAX_STEPS};
 
 /// Per-node step counts of one completed execution.
 pub type WorkVector = BTreeMap<NodeId, usize>;
@@ -54,9 +54,11 @@ impl CostComparison {
 ///
 /// Panics if any algorithm fails to terminate within the default budget.
 pub fn compare_social_costs(inst: &ReversalInstance) -> CostComparison {
+    let flat = CsrInstance::from_instance(inst);
     let cost = |kind: AlgorithmKind| {
-        let mut e = kind.engine(inst);
-        let stats = run_engine(e.as_mut(), SchedulePolicy::GreedyRounds, DEFAULT_MAX_STEPS);
+        let mut e = kind.frontier_engine(flat.clone());
+        let stats =
+            run_engine_frontier(e.as_mut(), SchedulePolicy::GreedyRounds, DEFAULT_MAX_STEPS);
         assert!(stats.terminated, "{} did not terminate", kind.name());
         stats.social_cost()
     };
@@ -76,8 +78,8 @@ pub fn compare_social_costs(inst: &ReversalInstance) -> CostComparison {
 ///
 /// Panics if the algorithm fails to terminate within the default budget.
 pub fn work_vector(kind: AlgorithmKind, inst: &ReversalInstance) -> WorkVector {
-    let mut e = kind.engine(inst);
-    let stats = run_engine(e.as_mut(), SchedulePolicy::GreedyRounds, DEFAULT_MAX_STEPS);
+    let mut e = kind.frontier_engine(CsrInstance::from_instance(inst));
+    let stats = run_engine_frontier(e.as_mut(), SchedulePolicy::GreedyRounds, DEFAULT_MAX_STEPS);
     assert!(stats.terminated, "{} did not terminate", kind.name());
     // The node-keyed map is derived here, at the one consumer that needs
     // it — the run itself only fills the dense work vector.

@@ -5,43 +5,36 @@
 //!
 //! # What's here
 //!
-//! * [`alg`] — the algorithms, each as an in-place engine **and** an I/O
-//!   automaton sharing one transition function:
+//! * [`alg`] — the algorithms. The paper's formal objects are I/O
+//!   automata over map-backed states, used as the oracle by the model
+//!   checker, the simulation relations and the differential suites:
 //!   * [`alg::PrSetAutomaton`] / [`alg::OneStepPrAutomaton`] — the paper's
 //!     Algorithms 1 and 3 (list-based Partial Reversal),
 //!   * [`alg::NewPrAutomaton`] — the paper's Algorithm 2 (`NewPR`),
-//!   * [`alg::FullReversalEngine`] — Full Reversal,
-//!   * [`alg::PairHeightsEngine`] / [`alg::TripleHeightsEngine`] — the
-//!     Gafni–Bertsekas height formulations,
-//!   * [`alg::BllEngine`] — a labeled-reversal generalization (Binary
-//!     Link Labels).
+//!   * [`alg::FullReversalAutomaton`] — Full Reversal.
 //!
-//!   Every family also has a flat, CSR-native [`alg::FrontierEngine`]
-//!   — [`alg::FrontierFrEngine`], [`alg::FrontierPrEngine`],
-//!   [`alg::FrontierNewPrEngine`], [`alg::FrontierPairHeightsEngine`],
-//!   [`alg::FrontierTripleHeightsEngine`], [`alg::FrontierBllEngine`] —
-//!   constructed uniformly through [`alg::FrontierFamily`] (or
-//!   [`alg::AlgorithmKind::frontier_engine`]). These are the default
-//!   execution substrate: bit-packed per-slot state, no map-backed
-//!   instance, million-node capable, each proven step-for-step
-//!   identical to its map engine by the frontier differential suite.
+//!   Every family has one production engine, a flat CSR-native
+//!   [`alg::FrontierEngine`] — [`alg::FrontierFrEngine`],
+//!   [`alg::FrontierPrEngine`], [`alg::FrontierNewPrEngine`], the
+//!   Gafni–Bertsekas height formulations
+//!   [`alg::FrontierPairHeightsEngine`] /
+//!   [`alg::FrontierTripleHeightsEngine`], and the Binary Link Labels
+//!   generalization [`alg::FrontierBllEngine`] — constructed uniformly
+//!   through [`alg::FrontierFamily`] (or
+//!   [`alg::AlgorithmKind::frontier_engine`]): bit-packed per-slot state,
+//!   million-node capable, each pinned step-for-step to an independent
+//!   reference by the differential suites.
 //! * [`invariants`] — Invariants 3.1, 3.2, Corollaries 3.3/3.4,
 //!   Invariants 4.1, 4.2(a–d) and the acyclicity theorems 4.3/5.5 as
 //!   named predicates with rich counterexample messages.
-//! * [`engine`] — run loops (greedy rounds, random, deterministic) with
-//!   work accounting: total reversals, per-node work vectors, rounds,
-//!   dummy steps. [`engine::run_engine`] consumes the engines'
-//!   incremental enabled view through the zero-allocation step pipeline;
-//!   [`engine::run_engine_frontier`] is the same driver configuration
-//!   named for the flat CSR-native engines that run million-node
-//!   instances through it; [`engine::run_engine_parallel`] fans the
-//!   plan phase of greedy rounds out across worker threads over
-//!   snapshot chunks, and [`engine::run_engine_frontier_sharded`]
-//!   shards it by contiguous node ranges instead — both bit-identical
-//!   to the sequential run at every thread count;
-//!   [`engine::run_engine_scan`] (naive rescans) and
-//!   [`engine::run_engine_alloc`] (per-step allocation) are the
-//!   retained reference loops they are differentially tested against.
+//! * [`engine`] — the run loop (greedy rounds, random, deterministic)
+//!   with work accounting: total reversals, per-node work vectors,
+//!   rounds, dummy steps. [`engine::run_engine_frontier`] consumes the
+//!   engines' incremental enabled view through the zero-allocation step
+//!   pipeline;
+//!   [`engine::run_engine_frontier_sharded`] fans the plan phase of
+//!   greedy rounds out across worker threads by contiguous node ranges,
+//!   bit-identical to the sequential run at every thread count.
 //! * [`step`] — the zero-allocation step pipeline: caller-owned
 //!   [`StepScratch`] buffers and lightweight [`StepOutcome`]s. The
 //!   **caller owns the scratch**: one buffer per run, overwritten by
@@ -58,12 +51,11 @@
 //! # Quickstart
 //!
 //! ```
-//! use lr_core::alg::{NewPrEngine, ReversalEngine};
+//! use lr_core::alg::FrontierNewPrEngine;
 //! use lr_core::engine::{run_to_destination_oriented, SchedulePolicy, DEFAULT_MAX_STEPS};
-//! use lr_graph::generate;
+//! use lr_graph::stream;
 //!
-//! let inst = generate::chain_away(16);
-//! let mut engine = NewPrEngine::new(&inst);
+//! let mut engine = FrontierNewPrEngine::new(stream::chain_away(16));
 //! let stats = run_to_destination_oriented(
 //!     &mut engine,
 //!     SchedulePolicy::GreedyRounds,

@@ -27,8 +27,8 @@
 //! buffer's contents are only meaningful until the next `plan_step` /
 //! `step_into` call that receives the same scratch; callers that need to
 //! keep a step's reversal set must copy it out (or use the allocating
-//! [`crate::alg::ReversalEngine::step`] compatibility wrapper, which
-//! does exactly that).
+//! [`crate::alg::ReversalEngine::step`] wrapper, which does exactly
+//! that).
 
 use lr_graph::NodeId;
 

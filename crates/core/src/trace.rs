@@ -9,7 +9,7 @@ use std::fmt::Write as _;
 
 use lr_graph::{dot, DirectedView, NodeId, Orientation, ReversalInstance};
 
-use crate::alg::ReversalEngine;
+use crate::alg::FrontierEngine;
 use crate::engine::SchedulePolicy;
 use crate::ReversalStep;
 
@@ -39,12 +39,14 @@ pub struct Trace {
 
 impl Trace {
     /// Runs `engine` to termination under `policy`, recording every step.
+    /// The trace's map-backed instance is derived from the engine's flat
+    /// one through [`lr_graph::CsrInstance::to_instance`].
     ///
     /// # Panics
     ///
     /// Panics if the engine does not terminate within `max_steps`.
     pub fn record(
-        engine: &mut dyn ReversalEngine,
+        engine: &mut dyn FrontierEngine,
         policy: SchedulePolicy,
         max_steps: usize,
     ) -> Self {
@@ -53,9 +55,9 @@ impl Trace {
         use rand::SeedableRng;
 
         let instance = engine
-            .instance()
-            .expect("trace recording needs a map-backed engine")
-            .clone();
+            .csr_instance()
+            .to_instance()
+            .expect("an engine's instance is valid");
         let algorithm = engine.algorithm_name();
         let initial = engine.orientation();
         let mut frames = Vec::new();
@@ -63,7 +65,7 @@ impl Trace {
             SchedulePolicy::RandomSingle { seed } => Some(SmallRng::seed_from_u64(seed)),
             _ => None,
         };
-        fn record_one(frames: &mut Vec<TraceFrame>, engine: &mut dyn ReversalEngine, u: NodeId) {
+        fn record_one(frames: &mut Vec<TraceFrame>, engine: &mut dyn FrontierEngine, u: NodeId) {
             let step = engine.step(u);
             let after = engine.orientation();
             // A trace frame keeps its own copy of the sink set, so the
@@ -232,25 +234,28 @@ impl Trace {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::alg::{NewPrEngine, PrEngine};
+    use crate::alg::{FrontierNewPrEngine, FrontierPrEngine};
     use crate::engine::DEFAULT_MAX_STEPS;
-    use lr_graph::generate;
+    use lr_graph::{stream, CsrInstance};
+
+    fn pr(inst: CsrInstance) -> FrontierPrEngine {
+        FrontierPrEngine::new(inst)
+    }
 
     #[test]
     fn trace_records_and_validates() {
-        let inst = generate::chain_away(6);
-        let mut e = PrEngine::new(&inst);
+        let mut e = pr(stream::chain_away(6));
         let trace = Trace::record(&mut e, SchedulePolicy::FirstSingle, DEFAULT_MAX_STEPS);
         assert_eq!(trace.len(), 5);
         assert_eq!(trace.total_reversals(), 5);
         assert_eq!(trace.dummy_steps(), 0);
+        assert_eq!(trace.instance, lr_graph::generate::chain_away(6));
         trace.validate().expect("trace must replay");
     }
 
     #[test]
     fn text_rendering_mentions_every_step() {
-        let inst = generate::chain_away(4);
-        let mut e = PrEngine::new(&inst);
+        let mut e = pr(stream::chain_away(4));
         let trace = Trace::record(&mut e, SchedulePolicy::FirstSingle, DEFAULT_MAX_STEPS);
         let text = trace.render_text();
         assert!(text.contains("step   1"));
@@ -261,7 +266,7 @@ mod tests {
     #[test]
     fn dummy_steps_are_flagged_in_text() {
         let inst = lr_graph::parse::parse_instance("dest 3\n1 > 0\n2 > 0\n3 > 0").unwrap();
-        let mut e = NewPrEngine::new(&inst);
+        let mut e = FrontierNewPrEngine::new(CsrInstance::from_instance(&inst));
         let trace = Trace::record(&mut e, SchedulePolicy::FirstSingle, DEFAULT_MAX_STEPS);
         assert!(trace.dummy_steps() > 0);
         assert!(trace.render_text().contains("(dummy)"));
@@ -270,8 +275,7 @@ mod tests {
 
     #[test]
     fn dot_frames_cover_initial_plus_steps() {
-        let inst = generate::chain_away(4);
-        let mut e = PrEngine::new(&inst);
+        let mut e = pr(stream::chain_away(4));
         let trace = Trace::record(&mut e, SchedulePolicy::FirstSingle, DEFAULT_MAX_STEPS);
         let frames = trace.render_dot_frames();
         assert_eq!(frames.len(), trace.len() + 1);
@@ -281,8 +285,7 @@ mod tests {
 
     #[test]
     fn empty_trace_on_oriented_instance() {
-        let inst = generate::chain_toward(5);
-        let mut e = PrEngine::new(&inst);
+        let mut e = pr(stream::chain_toward(5));
         let trace = Trace::record(&mut e, SchedulePolicy::GreedyRounds, DEFAULT_MAX_STEPS);
         assert!(trace.is_empty());
         trace.validate().expect("empty trace is valid");
@@ -290,10 +293,10 @@ mod tests {
 
     #[test]
     fn traces_are_reproducible_for_random_policy() {
-        let inst = generate::random_connected(10, 8, 60);
-        let mut a = PrEngine::new(&inst);
+        let flat = stream::random_connected(10, 8, 60);
+        let mut a = pr(flat.clone());
         let ta = Trace::record(&mut a, SchedulePolicy::RandomSingle { seed: 4 }, 100_000);
-        let mut b = PrEngine::new(&inst);
+        let mut b = pr(flat);
         let tb = Trace::record(&mut b, SchedulePolicy::RandomSingle { seed: 4 }, 100_000);
         assert_eq!(ta.frames, tb.frames);
     }

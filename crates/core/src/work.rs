@@ -8,11 +8,11 @@
 //! growing size and fits the growth exponent on a log–log scale; a
 //! quadratic family should fit an exponent near 2, a linear one near 1.
 
-use lr_graph::ReversalInstance;
+use lr_graph::{CsrInstance, ReversalInstance};
 use serde::Serialize;
 
 use crate::alg::AlgorithmKind;
-use crate::engine::{run_engine, RunStats, SchedulePolicy, DEFAULT_MAX_STEPS};
+use crate::engine::{run_engine_frontier, RunStats, SchedulePolicy, DEFAULT_MAX_STEPS};
 
 /// One row of a work-measurement table.
 #[derive(Debug, Clone, PartialEq, Serialize)]
@@ -40,14 +40,7 @@ pub struct WorkRow {
 ///
 /// Panics if the run does not terminate within the default step budget.
 pub fn measure_work(kind: AlgorithmKind, inst: &ReversalInstance) -> WorkRow {
-    let mut engine = kind.engine(inst);
-    let stats = run_engine(
-        engine.as_mut(),
-        SchedulePolicy::GreedyRounds,
-        DEFAULT_MAX_STEPS,
-    );
-    assert!(stats.terminated, "{} did not terminate", kind.name());
-    row_from_stats(inst, &stats)
+    measure_work_with_policy(kind, inst, SchedulePolicy::GreedyRounds)
 }
 
 /// Like [`measure_work`] but under an arbitrary policy.
@@ -60,8 +53,8 @@ pub fn measure_work_with_policy(
     inst: &ReversalInstance,
     policy: SchedulePolicy,
 ) -> WorkRow {
-    let mut engine = kind.engine(inst);
-    let stats = run_engine(engine.as_mut(), policy, DEFAULT_MAX_STEPS);
+    let mut engine = kind.frontier_engine(CsrInstance::from_instance(inst));
+    let stats = run_engine_frontier(engine.as_mut(), policy, DEFAULT_MAX_STEPS);
     assert!(stats.terminated, "{} did not terminate", kind.name());
     row_from_stats(inst, &stats)
 }

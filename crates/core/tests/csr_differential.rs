@@ -1,129 +1,71 @@
-//! Differential properties of the PR-2 representation refactor: the
-//! CSR/incremental engines must be observably identical to the retained
-//! naive-scan reference on random connected instances, across **all
-//! seven engine configurations (five algorithms plus both BLL labelings)
-//! × all four schedule policies**.
+//! Differential properties of the flat representation: every engine's
+//! redundant state must be observably identical to what it mirrors, on
+//! random connected instances, across **all seven engine configurations
+//! (five algorithms plus both BLL labelings)**.
 //!
 //! The incremental enabled set ([`lr_core::EnabledTracker`]) is redundant
-//! state mirroring what a full `is_sink` scan computes; these tests are
-//! the falsification harness for that redundancy, and they re-check the
-//! paper's invariants (3.1, acyclicity, destination-orientedness) on the
-//! flat slot-indexed representation.
+//! state mirroring what a full `is_sink` scan computes, and the
+//! zero-allocation `step_into` pipeline mirrors the allocating `step`
+//! wrapper; these tests are the falsification harness for that
+//! redundancy, and they re-check the paper's invariants (3.1,
+//! acyclicity, destination-orientedness) on the flat slot-indexed
+//! representation.
 
-use lr_core::alg::{AlgorithmKind, BllEngine, BllLabeling, PrEngine, ReversalEngine};
-use lr_core::engine::{
-    run_engine, run_engine_alloc, run_engine_parallel_with, run_engine_scan, ParallelConfig,
-    RunStats, SchedulePolicy, DEFAULT_MAX_STEPS,
-};
+use lr_core::alg::{BllLabeling, FrontierEngine, FrontierFamily, FrontierPrEngine, ReversalEngine};
+use lr_core::engine::{run_engine_frontier, SchedulePolicy, DEFAULT_MAX_STEPS};
 use lr_core::invariants::{check_acyclic, check_inv_3_1};
 use lr_core::StepScratch;
-use lr_graph::{generate, DirectedView, NodeId, ReversalInstance};
+use lr_graph::{stream, CsrInstance, DirectedView, NodeId};
 use proptest::prelude::*;
 
-fn instance_strategy() -> impl Strategy<Value = ReversalInstance> {
+fn instance_strategy() -> impl Strategy<Value = CsrInstance> {
     (4usize..=16, 0usize..=20, any::<u64>())
-        .prop_map(|(n, extra, seed)| generate::random_connected(n, extra, seed))
+        .prop_map(|(n, extra, seed)| stream::random_connected(n, extra, seed))
 }
 
-/// One factory per engine configuration under test: the five
-/// `AlgorithmKind`s plus both BLL labelings (which `AlgorithmKind::ALL`
-/// does not cover).
-type EngineFactory<'a> = Box<dyn Fn() -> Box<dyn ReversalEngine + 'a> + 'a>;
-
-fn all_engines(inst: &ReversalInstance) -> Vec<(&'static str, EngineFactory<'_>)> {
-    let mut factories: Vec<(&'static str, EngineFactory<'_>)> = AlgorithmKind::ALL
-        .iter()
-        .map(|&kind| {
-            (
-                kind.name(),
-                Box::new(move || kind.engine(inst)) as EngineFactory<'_>,
-            )
-        })
-        .collect();
-    for labeling in [BllLabeling::PartialReversal, BllLabeling::FullReversal] {
-        let name = match labeling {
-            BllLabeling::PartialReversal => "BLL[PR]",
-            BllLabeling::FullReversal => "BLL[FR]",
-        };
-        factories.push((
-            name,
-            Box::new(move || Box::new(BllEngine::new(inst, labeling))),
-        ));
-    }
-    factories
-}
-
-fn policies(seed: u64) -> [SchedulePolicy; 4] {
-    [
-        SchedulePolicy::GreedyRounds,
-        SchedulePolicy::RandomSingle { seed },
-        SchedulePolicy::FirstSingle,
-        SchedulePolicy::LastSingle,
-    ]
-}
+/// Every engine configuration under test: the five `AlgorithmKind`s
+/// plus both BLL labelings.
+const FAMILIES: [FrontierFamily; 7] = [
+    FrontierFamily::FullReversal,
+    FrontierFamily::PartialReversal,
+    FrontierFamily::NewPr,
+    FrontierFamily::PairHeights,
+    FrontierFamily::TripleHeights,
+    FrontierFamily::Bll(BllLabeling::PartialReversal),
+    FrontierFamily::Bll(BllLabeling::FullReversal),
+];
 
 /// The enabled set a full rescan would produce, bypassing the tracker.
-fn rescan(inst: &ReversalInstance, engine: &dyn ReversalEngine) -> Vec<NodeId> {
-    inst.graph
+fn rescan(engine: &dyn FrontierEngine) -> Vec<NodeId> {
+    let dest = engine.dest();
+    engine
+        .csr()
         .nodes()
-        .filter(|&u| u != inst.dest && engine.is_sink(u))
+        .filter(|&u| u != dest && engine.is_sink(u))
         .collect()
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Identical `RunStats` (steps, reversals, rounds, dummies, work
-    /// vector) and final orientations from the incremental loop and the
-    /// naive-scan reference loop, for every algorithm × policy.
-    #[test]
-    fn incremental_loop_matches_scan_reference(
-        inst in instance_strategy(),
-        seed in any::<u64>(),
-    ) {
-        for (name, factory) in all_engines(&inst) {
-            for policy in policies(seed) {
-                let mut fast = factory();
-                let fast_stats = run_engine(fast.as_mut(), policy, DEFAULT_MAX_STEPS);
-                let mut slow = factory();
-                let slow_stats = run_engine_scan(slow.as_mut(), policy, DEFAULT_MAX_STEPS);
-                prop_assert_eq!(
-                    &fast_stats,
-                    &slow_stats,
-                    "{} under {:?}: loops diverged",
-                    name,
-                    policy
-                );
-                prop_assert!(fast_stats.terminated, "{} must terminate", name);
-                prop_assert_eq!(
-                    fast.orientation(),
-                    slow.orientation(),
-                    "{} under {:?}: final orientations diverged",
-                    name,
-                    policy
-                );
-            }
-        }
-    }
-
     /// The incrementally maintained enabled view equals a fresh full
     /// rescan after **every single step** of a run (step-for-step, not
-    /// just at quiescence).
+    /// just at quiescence), and so does termination.
     #[test]
     fn enabled_view_matches_rescan_after_every_step(
         inst in instance_strategy(),
         seed in any::<u64>(),
     ) {
-        for (name, factory) in all_engines(&inst) {
-            let mut engine = factory();
+        for family in FAMILIES {
+            let mut engine = family.engine(inst.clone());
             let mut steps = 0usize;
             loop {
-                let scanned = rescan(&inst, engine.as_ref());
+                let scanned = rescan(engine.as_ref());
                 prop_assert_eq!(
                     engine.enabled(),
                     &scanned[..],
                     "{}: tracker diverged after {} steps",
-                    name,
+                    family.name(),
                     steps
                 );
                 prop_assert_eq!(engine.is_terminated(), scanned.is_empty());
@@ -131,7 +73,7 @@ proptest! {
                     break;
                 }
                 // Rotate the pick so different schedules are exercised.
-                let u = scanned[(seed as usize + steps) % scanned.len()];
+                let u = scanned[(seed as usize).wrapping_add(steps) % scanned.len()];
                 engine.step(u);
                 steps += 1;
                 prop_assert!(steps < 1_000_000, "runaway execution");
@@ -140,18 +82,19 @@ proptest! {
     }
 
     /// The zero-allocation `step_into` pipeline is observably identical
-    /// to the allocating `step` compatibility wrapper, in lockstep after
-    /// **every** step: same reversed-neighbor lists, same outcome
-    /// fields, same enabled sets and final orientations — on every
-    /// engine configuration.
+    /// to the allocating `step` wrapper, in lockstep after **every**
+    /// step: same reversed-neighbor lists, same outcome fields, same
+    /// enabled sets and final orientations — on every engine
+    /// configuration.
     #[test]
     fn step_into_matches_step_lockstep(
         inst in instance_strategy(),
         seed in any::<u64>(),
     ) {
-        for (name, factory) in all_engines(&inst) {
-            let mut via_step = factory();
-            let mut via_step_into = factory();
+        for family in FAMILIES {
+            let name = family.name();
+            let mut via_step = family.engine(inst.clone());
+            let mut via_step_into = family.engine(inst.clone());
             let mut scratch = StepScratch::new();
             let mut k = 0usize;
             loop {
@@ -166,7 +109,7 @@ proptest! {
                     break;
                 }
                 let enabled = via_step.enabled();
-                let u = enabled[(seed as usize + k) % enabled.len()];
+                let u = enabled[(seed as usize).wrapping_add(k) % enabled.len()];
                 let step = via_step.step(u);
                 let outcome = via_step_into.step_into(u, &mut scratch);
                 prop_assert_eq!(&step.reversed[..], scratch.reversed(), "{}", name);
@@ -185,67 +128,24 @@ proptest! {
         }
     }
 
-    /// The allocating reference loop (`run_engine_alloc`, the pre-PR-3
-    /// per-step-allocation behavior) produces identical `RunStats` to
-    /// the zero-allocation loop on every configuration × policy.
-    #[test]
-    fn alloc_reference_loop_matches_zero_alloc(
-        inst in instance_strategy(),
-        seed in any::<u64>(),
-    ) {
-        for (name, factory) in all_engines(&inst) {
-            for policy in policies(seed) {
-                let mut fast = factory();
-                let fast_stats = run_engine(fast.as_mut(), policy, DEFAULT_MAX_STEPS);
-                let mut slow = factory();
-                let slow_stats = run_engine_alloc(slow.as_mut(), policy, DEFAULT_MAX_STEPS);
-                prop_assert_eq!(&fast_stats, &slow_stats, "{} under {:?}", name, policy);
-                prop_assert_eq!(fast.orientation(), slow.orientation(), "{}", name);
-            }
-        }
-    }
-
-    /// `run_engine_parallel` is bit-identical to sequential
-    /// `GreedyRounds`: same `RunStats` (work vectors included), final
-    /// orientations, and enabled sets across thread counts {1, 2, 4, 8}
-    /// — with the round-size cutoff forced to 0 so the parallel
-    /// plan/apply path actually runs on these small instances.
-    #[test]
-    fn parallel_rounds_bit_identical_to_sequential(
-        inst in instance_strategy(),
-        _seed in any::<u64>(),
-    ) {
-        for (name, factory) in all_engines(&inst) {
-            let mut seq = factory();
-            let seq_stats = run_engine(seq.as_mut(), SchedulePolicy::GreedyRounds, DEFAULT_MAX_STEPS);
-            for threads in [1usize, 2, 4, 8] {
-                let cfg = ParallelConfig { threads, min_parallel_round: 0 };
-                let mut par = factory();
-                let par_stats = run_engine_parallel_with(par.as_mut(), cfg, DEFAULT_MAX_STEPS);
-                prop_assert_eq!(&par_stats, &seq_stats, "{} × {} threads", name, threads);
-                prop_assert_eq!(par.orientation(), seq.orientation(), "{}", name);
-                prop_assert_eq!(par.enabled(), seq.enabled(), "{}", name);
-            }
-        }
-    }
-
     /// The paper's checked properties survive on the flat representation:
     /// Invariant 3.1 on the duplicated slot state, acyclicity, and
     /// destination-orientedness of the final orientation.
     #[test]
     fn invariants_hold_on_flat_representation(
-        inst in instance_strategy(),
+        flat in instance_strategy(),
         seed in any::<u64>(),
     ) {
-        let mut e = PrEngine::new(&inst);
-        let stats = run_engine(
+        let inst = flat.to_instance().unwrap();
+        let mut e = FrontierPrEngine::new(flat);
+        let stats = run_engine_frontier(
             &mut e,
             SchedulePolicy::RandomSingle { seed },
             DEFAULT_MAX_STEPS,
         );
         prop_assert!(stats.terminated);
-        prop_assert!(check_inv_3_1(&e.state().dirs).is_ok());
-        prop_assert!(check_acyclic(&inst, &e.state().dirs).is_ok());
+        prop_assert!(check_inv_3_1(e.dirs()).is_ok());
+        prop_assert!(check_acyclic(&inst, e.dirs()).is_ok());
         let o = e.orientation();
         prop_assert!(DirectedView::new(&inst.graph, &o).is_destination_oriented(inst.dest));
     }
@@ -254,45 +154,34 @@ proptest! {
 /// Engine `reset` also resets the incremental enabled set.
 #[test]
 fn reset_restores_initial_enabled_set() {
-    let inst = generate::random_connected(12, 8, 99);
-    for (name, factory) in all_engines(&inst) {
-        let mut e = factory();
+    let inst = stream::random_connected(12, 8, 99);
+    for family in FAMILIES {
+        let mut e = family.engine(inst.clone());
         let initial = e.enabled().to_vec();
         let u = *e.enabled().first().expect("instance has work");
         e.step(u);
         e.reset();
-        assert_eq!(e.enabled(), initial, "{name}");
+        assert_eq!(e.enabled(), initial, "{}", family.name());
     }
-}
-
-fn assert_stats_match(a: &RunStats, b: &RunStats) {
-    assert_eq!(a, b);
 }
 
 /// The acceptance-criteria scale check: an `exp_worst_case`-sized run at
 /// n = 4096 (the alternating chain, PR's Θ(n_b²) family) terminates
-/// within the default step budget, and the two loops agree at n = 256
-/// even on this adversarial family.
+/// within the default step budget with the paper's invariants intact.
 #[test]
 #[ignore = "multi-second in release; runs in the CI --ignored tier"]
 fn alternating_chain_4096_terminates_within_default_budget() {
-    let inst = generate::alternating_chain(4097);
-    let mut e = PrEngine::new(&inst);
-    let stats = run_engine(&mut e, SchedulePolicy::FirstSingle, DEFAULT_MAX_STEPS);
+    let flat = stream::alternating_chain(4097);
+    let inst = flat.to_instance().unwrap();
+    let mut e = FrontierPrEngine::new(flat);
+    let stats = run_engine_frontier(&mut e, SchedulePolicy::FirstSingle, DEFAULT_MAX_STEPS);
     assert!(
         stats.terminated,
         "n = 4096 must finish within {DEFAULT_MAX_STEPS} steps (took {})",
         stats.steps
     );
-    assert!(check_inv_3_1(&e.state().dirs).is_ok());
-    assert!(check_acyclic(&inst, &e.state().dirs).is_ok());
+    assert!(check_inv_3_1(e.dirs()).is_ok());
+    assert!(check_acyclic(&inst, e.dirs()).is_ok());
     let o = e.orientation();
     assert!(DirectedView::new(&inst.graph, &o).is_destination_oriented(inst.dest));
-
-    let inst = generate::alternating_chain(257);
-    let mut fast = PrEngine::new(&inst);
-    let fast_stats = run_engine(&mut fast, SchedulePolicy::FirstSingle, DEFAULT_MAX_STEPS);
-    let mut slow = PrEngine::new(&inst);
-    let slow_stats = run_engine_scan(&mut slow, SchedulePolicy::FirstSingle, DEFAULT_MAX_STEPS);
-    assert_stats_match(&fast_stats, &slow_stats);
 }

@@ -3,7 +3,10 @@
 //!
 //! Every generator returns a validated [`ReversalInstance`] whose initial
 //! orientation is acyclic, matching the model of §2. Unless documented
-//! otherwise the destination is node `0`.
+//! otherwise the destination is node `0`. The families shared with
+//! [`crate::stream`] are built there, in flat form, and converted through
+//! [`CsrInstance::to_instance`]; only the families without a streaming
+//! twin build their maps directly.
 //!
 //! The **`*_away` families direct every edge away from the destination**,
 //! which makes *every* other node a "bad node" (no initial path to `D`) —
@@ -14,10 +17,13 @@ use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 
-use crate::{NodeId, Orientation, ReversalInstance, UndirectedGraph};
+use crate::{stream, CsrInstance, NodeId, Orientation, ReversalInstance, UndirectedGraph};
 
-fn ids(n: usize) -> Vec<NodeId> {
-    (0..n as u32).map(NodeId::new).collect()
+/// The map view of a streamed instance. Every family shared with
+/// [`crate::stream`] is implemented there once and materialized here.
+fn materialize(inst: CsrInstance) -> ReversalInstance {
+    inst.to_instance()
+        .expect("streaming generators emit connected acyclic instances")
 }
 
 /// A chain `D = v0 — v1 — … — v(n-1)` with every edge directed **away**
@@ -36,15 +42,7 @@ fn ids(n: usize) -> Vec<NodeId> {
 /// assert_eq!(inst.initial_bad_nodes(), 4);
 /// ```
 pub fn chain_away(n: usize) -> ReversalInstance {
-    assert!(n >= 2, "chain needs at least 2 nodes");
-    let mut g = UndirectedGraph::with_nodes(n);
-    let mut o = Orientation::new();
-    for i in 0..n - 1 {
-        let (u, v) = (NodeId::new(i as u32), NodeId::new(i as u32 + 1));
-        g.add_edge(u, v).expect("fresh edge");
-        o.set_from_to(u, v);
-    }
-    ReversalInstance::new(g, o, NodeId::new(0)).expect("chain is valid")
+    materialize(stream::chain_away(n))
 }
 
 /// A chain with every edge directed **toward** the destination `v0`:
@@ -54,15 +52,7 @@ pub fn chain_away(n: usize) -> ReversalInstance {
 ///
 /// Panics if `n < 2`.
 pub fn chain_toward(n: usize) -> ReversalInstance {
-    assert!(n >= 2, "chain needs at least 2 nodes");
-    let mut g = UndirectedGraph::with_nodes(n);
-    let mut o = Orientation::new();
-    for i in 0..n - 1 {
-        let (u, v) = (NodeId::new(i as u32), NodeId::new(i as u32 + 1));
-        g.add_edge(u, v).expect("fresh edge");
-        o.set_from_to(v, u);
-    }
-    ReversalInstance::new(g, o, NodeId::new(0)).expect("chain is valid")
+    materialize(stream::chain_toward(n))
 }
 
 /// An *alternating* chain `D = v0 — v1 — … — v(n-1)`: edge `{vi, vi+1}`
@@ -84,19 +74,7 @@ pub fn chain_toward(n: usize) -> ReversalInstance {
 /// assert_eq!(inst.view().sinks().len(), 3); // nodes 0 (dest), 2, 4
 /// ```
 pub fn alternating_chain(n: usize) -> ReversalInstance {
-    assert!(n >= 2, "chain needs at least 2 nodes");
-    let mut g = UndirectedGraph::with_nodes(n);
-    let mut o = Orientation::new();
-    for i in 0..n - 1 {
-        let (u, v) = (NodeId::new(i as u32), NodeId::new(i as u32 + 1));
-        g.add_edge(u, v).expect("fresh edge");
-        if i % 2 == 1 {
-            o.set_from_to(u, v);
-        } else {
-            o.set_from_to(v, u);
-        }
-    }
-    ReversalInstance::new(g, o, NodeId::new(0)).expect("chain is valid")
+    materialize(stream::alternating_chain(n))
 }
 
 /// A star with the destination at the center and every edge directed from
@@ -106,16 +84,7 @@ pub fn alternating_chain(n: usize) -> ReversalInstance {
 ///
 /// Panics if `leaves == 0`.
 pub fn star_away(leaves: usize) -> ReversalInstance {
-    assert!(leaves >= 1, "star needs at least 1 leaf");
-    let mut g = UndirectedGraph::with_nodes(leaves + 1);
-    let mut o = Orientation::new();
-    let center = NodeId::new(0);
-    for i in 1..=leaves {
-        let leaf = NodeId::new(i as u32);
-        g.add_edge(center, leaf).expect("fresh edge");
-        o.set_from_to(center, leaf);
-    }
-    ReversalInstance::new(g, o, center).expect("star is valid")
+    materialize(stream::star_away(leaves))
 }
 
 /// A complete binary tree of the given depth (depth 0 = a single edge pair
@@ -127,17 +96,7 @@ pub fn star_away(leaves: usize) -> ReversalInstance {
 /// Panics if `depth == 0` produces fewer than 2 nodes (i.e. never; depth 0
 /// gives 3 nodes).
 pub fn binary_tree_away(depth: usize) -> ReversalInstance {
-    let levels = depth + 2; // root level + depth more levels
-    let n = (1usize << levels) - 1;
-    let mut g = UndirectedGraph::with_nodes(n);
-    let mut o = Orientation::new();
-    for i in 1..n {
-        let child = NodeId::new(i as u32);
-        let parent = NodeId::new(((i - 1) / 2) as u32);
-        g.add_edge(parent, child).expect("fresh edge");
-        o.set_from_to(parent, child);
-    }
-    ReversalInstance::new(g, o, NodeId::new(0)).expect("tree is valid")
+    materialize(stream::binary_tree_away(depth))
 }
 
 /// An `rows × cols` grid with edges to the right and down, all directed
@@ -147,23 +106,7 @@ pub fn binary_tree_away(depth: usize) -> ReversalInstance {
 ///
 /// Panics if `rows * cols < 2`.
 pub fn grid_away(rows: usize, cols: usize) -> ReversalInstance {
-    assert!(rows * cols >= 2, "grid needs at least 2 nodes");
-    let id = |r: usize, c: usize| NodeId::new((r * cols + c) as u32);
-    let mut g = UndirectedGraph::with_nodes(rows * cols);
-    let mut o = Orientation::new();
-    for r in 0..rows {
-        for c in 0..cols {
-            if c + 1 < cols {
-                g.add_edge(id(r, c), id(r, c + 1)).expect("fresh edge");
-                o.set_from_to(id(r, c), id(r, c + 1));
-            }
-            if r + 1 < rows {
-                g.add_edge(id(r, c), id(r + 1, c)).expect("fresh edge");
-                o.set_from_to(id(r, c), id(r + 1, c));
-            }
-        }
-    }
-    ReversalInstance::new(g, o, NodeId::new(0)).expect("grid is valid")
+    materialize(stream::grid_away(rows, cols))
 }
 
 /// The complete DAG on `n` nodes: every pair connected, oriented from the
@@ -174,17 +117,7 @@ pub fn grid_away(rows: usize, cols: usize) -> ReversalInstance {
 ///
 /// Panics if `n < 2`.
 pub fn complete_away(n: usize) -> ReversalInstance {
-    assert!(n >= 2, "complete graph needs at least 2 nodes");
-    let mut g = UndirectedGraph::with_nodes(n);
-    let mut o = Orientation::new();
-    for i in 0..n {
-        for j in i + 1..n {
-            let (u, v) = (NodeId::new(i as u32), NodeId::new(j as u32));
-            g.add_edge(u, v).expect("fresh edge");
-            o.set_from_to(u, v);
-        }
-    }
-    ReversalInstance::new(g, o, NodeId::new(0)).expect("complete graph is valid")
+    materialize(stream::complete_away(n))
 }
 
 /// A layered DAG: `depth` layers of `width` nodes plus the destination in
@@ -196,45 +129,7 @@ pub fn complete_away(n: usize) -> ReversalInstance {
 ///
 /// Panics if `width == 0` or `depth == 0`, or if `p` is not in `[0, 1]`.
 pub fn layered(width: usize, depth: usize, p: f64, seed: u64) -> ReversalInstance {
-    assert!(
-        width > 0 && depth > 0,
-        "layered graph needs width, depth > 0"
-    );
-    assert!((0.0..=1.0).contains(&p), "p must be a probability");
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let n = 1 + width * depth;
-    let mut g = UndirectedGraph::with_nodes(n);
-    let mut o = Orientation::new();
-    let node_at = |layer: usize, i: usize| -> NodeId {
-        if layer == 0 {
-            NodeId::new(0)
-        } else {
-            NodeId::new((1 + (layer - 1) * width + i) as u32)
-        }
-    };
-    let layer_size = |layer: usize| if layer == 0 { 1 } else { width };
-    for layer in 1..=depth {
-        for i in 0..width {
-            let v = node_at(layer, i);
-            let prev = layer - 1;
-            let mut linked = false;
-            for j in 0..layer_size(prev) {
-                if rng.gen_bool(p) {
-                    let u = node_at(prev, j);
-                    g.add_edge(u, v).expect("fresh edge");
-                    o.set_from_to(u, v);
-                    linked = true;
-                }
-            }
-            if !linked {
-                let j = rng.gen_range(0..layer_size(prev));
-                let u = node_at(prev, j);
-                g.add_edge(u, v).expect("fresh edge");
-                o.set_from_to(u, v);
-            }
-        }
-    }
-    ReversalInstance::new(g, o, NodeId::new(0)).expect("layered graph is valid")
+    materialize(stream::layered(width, depth, p, seed))
 }
 
 /// A random connected **bipartite** instance with every edge initially
@@ -297,35 +192,7 @@ pub fn bipartite_away(width: usize, degree: usize, seed: u64) -> ReversalInstanc
 ///
 /// Panics if `n < 2`.
 pub fn random_connected(n: usize, extra_edges: usize, seed: u64) -> ReversalInstance {
-    assert!(n >= 2, "graph needs at least 2 nodes");
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let mut g = UndirectedGraph::with_nodes(n);
-    // Random attachment spanning tree.
-    for i in 1..n {
-        let parent = rng.gen_range(0..i);
-        g.add_edge(NodeId::new(parent as u32), NodeId::new(i as u32))
-            .expect("fresh edge");
-    }
-    // Extra edges, skipping duplicates; cap attempts to stay total.
-    let max_edges = n * (n - 1) / 2;
-    let target = (n - 1 + extra_edges).min(max_edges);
-    let mut attempts = 0;
-    while g.edge_count() < target && attempts < 50 * target {
-        attempts += 1;
-        let u = rng.gen_range(0..n);
-        let v = rng.gen_range(0..n);
-        if u == v {
-            continue;
-        }
-        let (u, v) = (NodeId::new(u as u32), NodeId::new(v as u32));
-        if !g.contains_edge(u, v) {
-            g.add_edge(u, v).expect("checked fresh");
-        }
-    }
-    let mut order = ids(n);
-    order.shuffle(&mut rng);
-    let o = Orientation::from_order(&g, &order);
-    ReversalInstance::new(g, o, NodeId::new(0)).expect("random graph is valid")
+    materialize(stream::random_connected(n, extra_edges, seed))
 }
 
 /// Like [`random_connected`] but with the orientation chosen so that the

@@ -11,10 +11,10 @@
 //! at roughly 8 bytes per half-edge plus 8 per node, so million-node
 //! instances fit comfortably in memory.
 //!
-//! Every streaming generator is pinned to its materializing counterpart
-//! by the differential suite: `stream::f(args)` must equal
-//! `CsrInstance::from_instance(&generate::f(args))` bit for bit,
-//! including the RNG draws of the random families.
+//! These are the only implementations of the shared families: each
+//! [`crate::generate`] function is its streaming twin followed by the
+//! [`CsrInstance::to_instance`] adapter, so the flat and map forms of a
+//! family cannot drift apart.
 
 use std::collections::HashSet;
 use std::sync::Arc;
@@ -24,7 +24,10 @@ use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 
 use crate::csr::check_slot_capacity;
-use crate::{CsrBuilder, CsrGraph, EdgeDir, NodeId, ReversalInstance};
+use crate::{
+    CsrBuilder, CsrGraph, EdgeDir, GraphError, NodeId, Orientation, ReversalInstance,
+    UndirectedGraph,
+};
 
 /// Reads bit `i` of a packed word array.
 fn bit_get(words: &[u64], i: usize) -> bool {
@@ -42,9 +45,8 @@ fn bit_set(words: &mut [u64], i: usize) {
 /// destination.
 ///
 /// This is the large-scale counterpart of [`ReversalInstance`]; the two
-/// are interconvertible via [`CsrInstance::from_instance`], and a
-/// streaming generator's output equals the conversion of its
-/// materializing twin.
+/// are interconvertible via [`CsrInstance::from_instance`] and
+/// [`CsrInstance::to_instance`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CsrInstance {
     csr: Arc<CsrGraph>,
@@ -71,6 +73,39 @@ impl CsrInstance {
             init_out,
             dest: inst.dest,
         }
+    }
+
+    /// The map-backed view of this instance — the one adapter from the
+    /// flat representation to the map types that the paper's automata,
+    /// traces and the text format work on. The result is built through
+    /// [`ReversalInstance::new`], so it is validated like a parsed
+    /// instance; [`CsrInstance::from_instance`] inverts it.
+    ///
+    /// # Errors
+    ///
+    /// Any [`ReversalInstance::new`] error: a disconnected graph or a
+    /// cyclic initial orientation.
+    pub fn to_instance(&self) -> Result<ReversalInstance, GraphError> {
+        let csr = &self.csr;
+        let mut graph = UndirectedGraph::new();
+        for u in csr.nodes() {
+            graph.ensure_node(u);
+        }
+        let mut init = Orientation::new();
+        for ui in 0..csr.node_count() {
+            let u = csr.node(ui);
+            // Each edge once, from its smaller endpoint (CSR nodes are
+            // ascending by id).
+            for slot in csr.slots(ui).filter(|&slot| ui < csr.target(slot)) {
+                let v = csr.node(csr.target(slot));
+                graph.add_edge(u, v)?;
+                match self.init_dir_at(slot) {
+                    EdgeDir::Out => init.set_from_to(u, v),
+                    EdgeDir::In => init.set_from_to(v, u),
+                }
+            }
+        }
+        ReversalInstance::new(graph, init, self.dest)
     }
 
     /// The CSR graph.
@@ -560,66 +595,32 @@ pub fn random_connected(n: usize, extra_edges: usize, seed: u64) -> CsrInstance 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::generate;
 
-    /// Every streaming family must equal the conversion of its
-    /// materializing counterpart — same CSR, same packed orientation,
-    /// same destination. (The differential proptest in
-    /// `tests/proptest_graph.rs` covers randomized parameters.)
+    /// The map adapter is lossless: converting a streamed instance to
+    /// its map view and back reproduces it bit for bit, for every
+    /// family. (`tests/proptest_graph.rs` covers randomized parameters.)
     #[test]
-    fn streaming_families_match_materializing_counterparts() {
+    fn to_instance_round_trips_every_family() {
+        let round_trip = |inst: CsrInstance| {
+            let map = inst.to_instance().expect("generated instances are valid");
+            assert_eq!(CsrInstance::from_instance(&map), inst);
+        };
         for n in [2usize, 3, 5, 9] {
-            assert_eq!(
-                chain_away(n),
-                CsrInstance::from_instance(&generate::chain_away(n)),
-                "chain_away({n})"
-            );
-            assert_eq!(
-                chain_toward(n),
-                CsrInstance::from_instance(&generate::chain_toward(n)),
-                "chain_toward({n})"
-            );
-            assert_eq!(
-                alternating_chain(n),
-                CsrInstance::from_instance(&generate::alternating_chain(n)),
-                "alternating_chain({n})"
-            );
-            assert_eq!(
-                star_away(n),
-                CsrInstance::from_instance(&generate::star_away(n)),
-                "star_away({n})"
-            );
-            assert_eq!(
-                complete_away(n),
-                CsrInstance::from_instance(&generate::complete_away(n)),
-                "complete_away({n})"
-            );
+            round_trip(chain_away(n));
+            round_trip(chain_toward(n));
+            round_trip(alternating_chain(n));
+            round_trip(star_away(n));
+            round_trip(complete_away(n));
         }
         for depth in 0..3 {
-            assert_eq!(
-                binary_tree_away(depth),
-                CsrInstance::from_instance(&generate::binary_tree_away(depth)),
-                "binary_tree_away({depth})"
-            );
+            round_trip(binary_tree_away(depth));
         }
         for (rows, cols) in [(1, 2), (2, 2), (3, 4), (5, 1)] {
-            assert_eq!(
-                grid_away(rows, cols),
-                CsrInstance::from_instance(&generate::grid_away(rows, cols)),
-                "grid_away({rows}, {cols})"
-            );
+            round_trip(grid_away(rows, cols));
         }
         for seed in 0..4 {
-            assert_eq!(
-                layered(3, 2, 0.4, seed),
-                CsrInstance::from_instance(&generate::layered(3, 2, 0.4, seed)),
-                "layered(3, 2, 0.4, {seed})"
-            );
-            assert_eq!(
-                random_connected(9, 6, seed),
-                CsrInstance::from_instance(&generate::random_connected(9, 6, seed)),
-                "random_connected(9, 6, {seed})"
-            );
+            round_trip(layered(3, 2, 0.4, seed));
+            round_trip(random_connected(9, 6, seed));
         }
     }
 

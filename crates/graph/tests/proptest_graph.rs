@@ -139,48 +139,10 @@ proptest! {
         prop_assert_eq!(back, o);
     }
 
-    /// Each deterministic streaming generator emits exactly the flat
-    /// form of its materializing counterpart, at every size.
+    /// The flat → map adapter round-trips the randomized families: the
+    /// map view converts back to the identical flat instance.
     #[test]
-    fn streaming_deterministic_families_match(n in 2usize..=24, rows in 1usize..=6, cols in 1usize..=6, depth in 0usize..=4) {
-        use lr_graph::{stream, CsrInstance};
-        prop_assert_eq!(
-            stream::chain_away(n),
-            CsrInstance::from_instance(&generate::chain_away(n))
-        );
-        prop_assert_eq!(
-            stream::chain_toward(n),
-            CsrInstance::from_instance(&generate::chain_toward(n))
-        );
-        prop_assert_eq!(
-            stream::alternating_chain(n),
-            CsrInstance::from_instance(&generate::alternating_chain(n))
-        );
-        prop_assert_eq!(
-            stream::star_away(n),
-            CsrInstance::from_instance(&generate::star_away(n))
-        );
-        prop_assert_eq!(
-            stream::complete_away(n),
-            CsrInstance::from_instance(&generate::complete_away(n))
-        );
-        prop_assert_eq!(
-            stream::binary_tree_away(depth),
-            CsrInstance::from_instance(&generate::binary_tree_away(depth))
-        );
-        if rows * cols >= 2 {
-            prop_assert_eq!(
-                stream::grid_away(rows, cols),
-                CsrInstance::from_instance(&generate::grid_away(rows, cols))
-            );
-        }
-    }
-
-    /// The randomized streaming generators replay the exact RNG draws of
-    /// their materializing counterparts, so the flat forms coincide for
-    /// every seed.
-    #[test]
-    fn streaming_random_families_match(
+    fn to_instance_round_trips_random_families(
         n in 2usize..=20,
         extra in 0usize..=24,
         depth in 1usize..=4,
@@ -190,13 +152,12 @@ proptest! {
         use lr_graph::{stream, CsrInstance};
         let width = extra % 5 + 1;
         let p = p_percent as f64 / 100.0;
-        prop_assert_eq!(
+        for flat in [
             stream::random_connected(n, extra, seed),
-            CsrInstance::from_instance(&generate::random_connected(n, extra, seed))
-        );
-        prop_assert_eq!(
             stream::layered(width, depth, p, seed),
-            CsrInstance::from_instance(&generate::layered(width, depth, p, seed))
-        );
+        ] {
+            let map = flat.to_instance().unwrap();
+            prop_assert_eq!(CsrInstance::from_instance(&map), flat);
+        }
     }
 }

@@ -19,33 +19,21 @@ use crate::spec::{SpecError, TopologySpec};
 /// valid instance (duplicate edges, disconnected graph, destination not
 /// a node).
 pub fn build_instance(spec: &TopologySpec, run_seed: u64) -> Result<ReversalInstance, SpecError> {
-    let inst = match *spec {
-        TopologySpec::ChainAway { n } => generate::chain_away(n),
-        TopologySpec::ChainToward { n } => generate::chain_toward(n),
-        TopologySpec::Alternating { n } => generate::alternating_chain(n),
-        TopologySpec::Star { leaves } => generate::star_away(leaves),
-        TopologySpec::Tree { depth } => generate::binary_tree_away(depth),
-        TopologySpec::Grid { rows, cols } => generate::grid_away(rows, cols),
-        TopologySpec::Complete { n } => generate::complete_away(n),
-        TopologySpec::Random {
-            n,
-            extra_edges,
-            seed,
-        } => generate::random_connected(n, extra_edges, seed.unwrap_or(run_seed)),
+    match *spec {
         TopologySpec::Bipartite {
             width,
             degree,
             seed,
-        } => generate::bipartite_away(width, degree, seed.unwrap_or(run_seed)),
-        TopologySpec::Layered {
+        } => Ok(generate::bipartite_away(
             width,
-            depth,
-            p,
-            seed,
-        } => generate::layered(width, depth, p, seed.unwrap_or(run_seed)),
-        TopologySpec::Inline { ref edges, dest } => return build_inline(edges, dest),
-    };
-    Ok(inst)
+            degree,
+            seed.unwrap_or(run_seed),
+        )),
+        TopologySpec::Inline { ref edges, dest } => build_inline(edges, dest),
+        _ => Ok(build_csr_instance(spec, run_seed)?
+            .to_instance()
+            .expect("streamed topologies are valid instances")),
+    }
 }
 
 /// Builds the **flat** CSR instance for one run, routing every family
@@ -54,8 +42,8 @@ pub fn build_instance(spec: &TopologySpec, run_seed: u64) -> Result<ReversalInst
 /// touch million-node topologies without paying the map
 /// representation's footprint. Families without a streaming counterpart
 /// (bipartite, inline edge lists) fall back to materializing and
-/// flattening; a differential test pins both routes to
-/// `CsrInstance::from_instance(build_instance(..))` for every family.
+/// flattening; [`build_instance`] is the map view of the same
+/// instances.
 ///
 /// # Errors
 ///
@@ -92,8 +80,7 @@ pub fn build_csr_instance(spec: &TopologySpec, run_seed: u64) -> Result<CsrInsta
 /// representation is ever materialized for the streaming families) and
 /// the family's CSR-native frontier engine takes ownership of the
 /// result. This is the engine-construction route scenario-level
-/// consumers use; a differential test pins it per family against the
-/// map route (`family.map_engine(&build_instance(..))`).
+/// consumers use.
 ///
 /// # Errors
 ///
@@ -193,27 +180,6 @@ mod tests {
             let flat = build_csr_instance(&spec, 11).unwrap();
             let map = build_instance(&spec, 11).unwrap();
             assert_eq!(flat, CsrInstance::from_instance(&map), "{spec:?}");
-        }
-    }
-
-    #[test]
-    fn frontier_engine_route_matches_the_map_route_for_every_family() {
-        use lr_core::engine::{run_engine, run_engine_frontier, SchedulePolicy};
-
-        let spec = TopologySpec::Random {
-            n: 10,
-            extra_edges: 6,
-            seed: Some(3),
-        };
-        let map_inst = build_instance(&spec, 5).unwrap();
-        for family in FrontierFamily::ALL {
-            let mut flat = build_frontier_engine(&spec, family, 5).unwrap();
-            let flat_stats =
-                run_engine_frontier(flat.as_mut(), SchedulePolicy::GreedyRounds, 1_000_000);
-            let mut map = family.map_engine(&map_inst);
-            let map_stats = run_engine(map.as_mut(), SchedulePolicy::GreedyRounds, 1_000_000);
-            assert_eq!(flat_stats, map_stats, "{}", family.name());
-            assert_eq!(flat.orientation(), map.orientation(), "{}", family.name());
         }
     }
 

@@ -3,8 +3,8 @@
 //! sweep at threads ∈ {2, 4, 8} must produce **bit-identical** merged
 //! rows — and byte-identical serialized JSON, the `BENCH_pr5.json`
 //! payload — to the serial sweep at threads = 1. This extends the
-//! PR 3 (`run_engine_parallel`) and PR 4 (scenario determinism)
-//! patterns to the new executor.
+//! parallel greedy-rounds and scenario-determinism patterns to the
+//! sweep executor.
 
 use lr_scenario::spec::ScenarioSpec;
 use lr_scenario::sweep::{run_matrix_sweep, MatrixOptions};

@@ -22,8 +22,9 @@ fn main() {
         "{:>10} {:>8} {:>10} {:>7} {:>7}",
         "algorithm", "steps", "reversals", "rounds", "dummy"
     );
+    let flat = CsrInstance::from_instance(&inst);
     for kind in AlgorithmKind::ALL {
-        let mut engine = kind.engine(&inst);
+        let mut engine = kind.frontier_engine(flat.clone());
         let stats = run_to_destination_oriented(
             engine.as_mut(),
             SchedulePolicy::GreedyRounds,
@@ -43,7 +44,7 @@ fn main() {
     }
 
     // Render the final NewPR graph as DOT for the curious.
-    let mut engine = NewPrEngine::new(&inst);
+    let mut engine = FrontierNewPrEngine::new(flat);
     run_to_destination_oriented(&mut engine, SchedulePolicy::GreedyRounds, DEFAULT_MAX_STEPS);
     let o = engine.orientation();
     let view = DirectedView::new(&inst.graph, &o);

@@ -21,13 +21,14 @@ fn main() {
     )
     .expect("valid instance");
 
+    let flat = CsrInstance::from_instance(&inst);
     println!("instance: star, center n0 is an initial sink, destination n3\n");
     for kind in [
         AlgorithmKind::FullReversal,
         AlgorithmKind::PartialReversal,
         AlgorithmKind::NewPr,
     ] {
-        let mut engine = kind.engine(&inst);
+        let mut engine = kind.frontier_engine(flat.clone());
         let trace = Trace::record(
             engine.as_mut(),
             SchedulePolicy::FirstSingle,
@@ -38,7 +39,7 @@ fn main() {
     }
 
     // Dump the NewPR run as DOT frames for visualization.
-    let mut engine = NewPrEngine::new(&inst);
+    let mut engine = FrontierNewPrEngine::new(flat);
     let trace = Trace::record(&mut engine, SchedulePolicy::FirstSingle, DEFAULT_MAX_STEPS);
     let frames = trace.render_dot_frames();
     println!(

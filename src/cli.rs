@@ -18,8 +18,7 @@ use std::fmt::Write as _;
 
 use lr_core::alg::AlgorithmKind;
 use lr_core::engine::{
-    run_engine, run_engine_frontier, run_engine_frontier_sharded, run_engine_parallel,
-    SchedulePolicy, DEFAULT_MAX_STEPS,
+    run_engine_frontier, run_engine_frontier_sharded, SchedulePolicy, DEFAULT_MAX_STEPS,
 };
 use lr_core::invariants::{
     check_acyclic, check_cor_3_3, check_cor_3_4, check_inv_3_1, check_inv_3_2, check_inv_4_1,
@@ -75,11 +74,9 @@ USAGE:
     lr run <alg> [policy]             run on the instance from stdin
                                       (algs: FR, PR, NewPR, GB-pair, GB-triple;
                                        policies: greedy, first, last, random:<seed>;
-                                       --engine map|frontier: execution substrate,
-                                       default frontier — flat CSR engines,
-                                       bit-identical stats to map; --threads N:
-                                       node-range-sharded parallel greedy rounds,
-                                       greedy policy only, bit-identical at any N)
+                                       --threads N: node-range-sharded parallel
+                                       greedy rounds, greedy policy only,
+                                       bit-identical at any N)
     lr trace <alg> [policy]           step-by-step trace of the run
     lr check                          verify the paper's invariants along
                                       PR and NewPR executions on the instance
@@ -348,46 +345,23 @@ fn cmd_generate(args: &[&str]) -> Result<String, CliError> {
     let (family, rest) = args
         .split_first()
         .ok_or_else(|| err(format!("generate needs a family\n\n{USAGE}")))?;
-    let parse_n = |s: Option<&&str>| -> Result<usize, CliError> {
-        parse_flag_usize("size", s.ok_or_else(|| err("missing size argument"))?, 1)
-    };
     let seed = rest
         .get(1)
         .map_or(Ok(0u64), |s| parse_flag_u64("seed", s, 0))?;
-    let inst = match *family {
-        "chain-away" => generate::chain_away(parse_n(rest.first())?),
-        "chain-toward" => generate::chain_toward(parse_n(rest.first())?),
-        "alternating" => generate::alternating_chain(parse_n(rest.first())?),
-        "star" => generate::star_away(parse_n(rest.first())?),
-        "grid" => {
-            let n = parse_n(rest.first())?;
-            generate::grid_away(n, n)
-        }
-        "complete" => generate::complete_away(parse_n(rest.first())?),
-        "random" => {
-            let n = parse_n(rest.first())?;
-            generate::random_connected(n, n, seed)
-        }
+    // Each family with the smallest size its generator accepts.
+    let (make, min): (fn(usize, u64) -> ReversalInstance, usize) = match *family {
+        "chain-away" => (|n, _| generate::chain_away(n), 2),
+        "chain-toward" => (|n, _| generate::chain_toward(n), 2),
+        "alternating" => (|n, _| generate::alternating_chain(n), 2),
+        "star" => (|n, _| generate::star_away(n), 1),
+        "grid" => (|n, _| generate::grid_away(n, n), 2),
+        "complete" => (|n, _| generate::complete_away(n), 2),
+        "random" => (|n, seed| generate::random_connected(n, n, seed), 2),
         other => return Err(err(format!("unknown family {other:?}"))),
     };
-    Ok(parse::to_text(&inst))
-}
-
-/// Which execution substrate `lr run` drives: the map-backed reference
-/// engines or the flat CSR-native frontier engines (the default).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum EngineChoice {
-    Map,
-    Frontier,
-}
-
-impl EngineChoice {
-    fn name(self) -> &'static str {
-        match self {
-            EngineChoice::Map => "map",
-            EngineChoice::Frontier => "frontier",
-        }
-    }
+    let size = rest.first().ok_or_else(|| err("missing size argument"))?;
+    let n = parse_flag_usize(&format!("{family} size"), size, min)?;
+    Ok(parse::to_text(&make(n, seed)))
 }
 
 fn cmd_run(args: &[&str], stdin: &str) -> Result<String, CliError> {
@@ -395,28 +369,12 @@ fn cmd_run(args: &[&str], stdin: &str) -> Result<String, CliError> {
         .split_first()
         .ok_or_else(|| err(format!("run needs an algorithm\n\n{USAGE}")))?;
     let kind = parse_alg(alg)?;
-    let parse_engine = |value: &str| -> Result<EngineChoice, CliError> {
-        match value {
-            "map" => Ok(EngineChoice::Map),
-            "frontier" => Ok(EngineChoice::Frontier),
-            other => Err(err(format!(
-                "unknown engine {other:?}; expected map or frontier"
-            ))),
-        }
-    };
     let parse_threads = |value: &str| parse_flag_usize("--threads", value, 1);
-    let mut engine_choice = EngineChoice::Frontier;
     let mut threads = 1usize;
     let mut policy_arg: Option<&str> = None;
     let mut it = rest.iter();
     while let Some(&arg) = it.next() {
         match arg {
-            "--engine" => {
-                let value = it
-                    .next()
-                    .ok_or_else(|| err("--engine needs a value (map or frontier)"))?;
-                engine_choice = parse_engine(value)?;
-            }
             "--threads" => {
                 let value = it
                     .next()
@@ -424,9 +382,7 @@ fn cmd_run(args: &[&str], stdin: &str) -> Result<String, CliError> {
                 threads = parse_threads(value)?;
             }
             a => {
-                if let Some(value) = a.strip_prefix("--engine=") {
-                    engine_choice = parse_engine(value)?;
-                } else if let Some(value) = a.strip_prefix("--threads=") {
+                if let Some(value) = a.strip_prefix("--threads=") {
                     threads = parse_threads(value)?;
                 } else if a.starts_with("--") {
                     return Err(err(format!("unknown flag {a:?} for `lr run`")));
@@ -445,25 +401,15 @@ fn cmd_run(args: &[&str], stdin: &str) -> Result<String, CliError> {
         ));
     }
     let inst = parse_stdin_instance(stdin)?;
-    let (stats, orientation) = match engine_choice {
-        EngineChoice::Map => {
-            let mut engine = kind.engine(&inst);
-            let stats = if threads > 1 {
-                run_engine_parallel(engine.as_mut(), threads, DEFAULT_MAX_STEPS)
-            } else {
-                run_engine(engine.as_mut(), policy, DEFAULT_MAX_STEPS)
-            };
-            (stats, engine.orientation())
-        }
-        EngineChoice::Frontier => {
-            let mut engine = kind.frontier_engine(CsrInstance::from_instance(&inst));
-            let stats = if threads > 1 {
-                run_engine_frontier_sharded(engine.as_mut(), threads, DEFAULT_MAX_STEPS)
-            } else {
-                run_engine_frontier(engine.as_mut(), policy, DEFAULT_MAX_STEPS)
-            };
-            (stats, engine.orientation())
-        }
+    // The engine is dropped before the final checks run.
+    let (stats, orientation) = {
+        let mut engine = kind.frontier_engine(CsrInstance::from_instance(&inst));
+        let stats = if threads > 1 {
+            run_engine_frontier_sharded(engine.as_mut(), threads, DEFAULT_MAX_STEPS)
+        } else {
+            run_engine_frontier(engine.as_mut(), policy, DEFAULT_MAX_STEPS)
+        };
+        (stats, engine.orientation())
     };
     if !stats.terminated {
         return Err(err("execution did not terminate within the step budget"));
@@ -471,7 +417,7 @@ fn cmd_run(args: &[&str], stdin: &str) -> Result<String, CliError> {
     let view = DirectedView::new(&inst.graph, &orientation);
     let mut out = String::new();
     let _ = writeln!(out, "algorithm:        {}", stats.algorithm);
-    let _ = writeln!(out, "engine:           {}", engine_choice.name());
+    let _ = writeln!(out, "engine:           frontier");
     let _ = writeln!(out, "threads:          {threads}");
     let _ = writeln!(out, "nodes:            {}", inst.node_count());
     let _ = writeln!(out, "initial bad:      {}", inst.initial_bad_nodes());
@@ -495,7 +441,7 @@ fn cmd_trace(args: &[&str], stdin: &str) -> Result<String, CliError> {
     let kind = parse_alg(alg)?;
     let policy = parse_policy(rest.first().copied())?;
     let inst = parse_stdin_instance(stdin)?;
-    let mut engine = kind.engine(&inst);
+    let mut engine = kind.frontier_engine(CsrInstance::from_instance(&inst));
     let trace = Trace::record(engine.as_mut(), policy, DEFAULT_MAX_STEPS);
     trace
         .validate()
@@ -1100,6 +1046,18 @@ mod tests {
         assert!(run_cli(&["generate", "nope", "5"], "").is_err());
         assert!(run_cli(&["generate", "chain-away"], "").is_err());
         assert!(run_cli(&["generate", "chain-away", "x"], "").is_err());
+        // Below a family's minimum size: a named error, not a panic.
+        for (family, n, min) in [
+            ("chain-away", "1", 2),
+            ("grid", "1", 2),
+            ("random", "1", 2),
+            ("complete", "0", 2),
+            ("star", "0", 1),
+        ] {
+            let e = run_cli(&["generate", family, n], "").unwrap_err();
+            let expected = format!("{family} size must be at least {min}, got \"{n}\"");
+            assert_eq!(e.0, expected);
+        }
     }
 
     #[test]
@@ -1121,23 +1079,6 @@ mod tests {
     }
 
     #[test]
-    fn run_engine_flag_selects_the_substrate() {
-        let inst = run_cli(&["generate", "chain-away", "6"], "").unwrap();
-        let frontier = run_cli(&["run", "PR"], &inst).unwrap();
-        assert!(
-            frontier.contains("engine:           frontier"),
-            "{frontier}"
-        );
-        let map = run_cli(&["run", "PR", "--engine", "map"], &inst).unwrap();
-        assert!(map.contains("engine:           map"), "{map}");
-        // Both substrates are bit-identical apart from the engine line.
-        assert_eq!(frontier.replace("frontier", "map"), map);
-        // `--engine=frontier` is the same as the default.
-        let explicit = run_cli(&["run", "PR", "--engine=frontier"], &inst).unwrap();
-        assert_eq!(explicit, frontier);
-    }
-
-    #[test]
     fn run_threads_flag_is_bit_identical_and_greedy_only() {
         let inst = run_cli(&["generate", "random", "12", "5"], "").unwrap();
         let seq = run_cli(&["run", "NewPR"], &inst).unwrap();
@@ -1152,14 +1093,6 @@ mod tests {
                 seq
             );
         }
-        // Sharding also works on the map substrate (snapshot chunks).
-        let map_par = run_cli(
-            &["run", "NewPR", "--engine", "map", "--threads", "2"],
-            &inst,
-        )
-        .unwrap();
-        assert!(map_par.contains("engine:           map"), "{map_par}");
-        assert!(map_par.contains("threads:          2"), "{map_par}");
         // Single-step policies cannot be sharded.
         let e = run_cli(&["run", "NewPR", "first", "--threads", "2"], &inst).unwrap_err();
         assert!(e.0.contains("greedy"), "{e}");
@@ -1168,10 +1101,12 @@ mod tests {
     #[test]
     fn run_rejects_bad_engine_and_threads_flags() {
         let inst = run_cli(&["generate", "chain-away", "4"], "").unwrap();
-        let e = run_cli(&["run", "PR", "--engine", "warp"], &inst).unwrap_err();
-        assert!(e.0.contains("unknown engine"), "{e}");
-        let e = run_cli(&["run", "PR", "--engine"], &inst).unwrap_err();
-        assert!(e.0.contains("needs a value"), "{e}");
+        // There is one engine per algorithm: `--engine` is not a flag.
+        for flag in [&["--engine", "map"][..], &["--engine=frontier"][..]] {
+            let args: Vec<&str> = ["run", "PR"].iter().chain(flag).copied().collect();
+            let e = run_cli(&args, &inst).unwrap_err();
+            assert!(e.0.contains("unknown flag \"--engine"), "{e}");
+        }
         // The shared flag parser names the flag and echoes the value.
         let e = run_cli(&["run", "PR", "--threads", "0"], &inst).unwrap_err();
         assert!(e.0.contains("--threads must be at least 1"), "{e}");

@@ -17,7 +17,7 @@
 //! |---|---|---|
 //! | [`graph`] | `lr-graph` | graphs, orientations, DAG analysis, embeddings, generators |
 //! | [`ioa`] | `lr-ioa` | I/O automata, schedulers, explorer, simulation checking |
-//! | [`core`] | `lr-core` | PR / OneStepPR / NewPR / FR / heights / BLL + invariants |
+//! | [`core`] | `lr-core` | PR / OneStepPR / NewPR / FR automata, one flat engine per family (FR, PR, NewPR, heights, BLL), invariants |
 //! | [`simrel`] | `lr-simrel` | relations R′ and R, refinement, model checking |
 //! | [`net`] | `lr-net` | network simulator, routing, election, mutex, threaded mode |
 //! | [`scenario`] | `lr-scenario` | declarative churn/link/traffic scenarios + sweep runner |
@@ -29,10 +29,10 @@
 //!
 //! // The classic worst case: a chain with every edge pointing away from
 //! // the destination.
-//! let inst = generate::chain_away(32);
+//! let inst = stream::chain_away(32);
 //!
 //! // Run the paper's NewPR to termination under greedy scheduling.
-//! let mut engine = NewPrEngine::new(&inst);
+//! let mut engine = FrontierNewPrEngine::new(inst);
 //! let stats = run_to_destination_oriented(
 //!     &mut engine, SchedulePolicy::GreedyRounds, DEFAULT_MAX_STEPS);
 //!
@@ -55,15 +55,14 @@ pub mod cli;
 /// The most commonly used items in one import.
 pub mod prelude {
     pub use lr_core::alg::{
-        AlgorithmKind, BllEngine, BllLabeling, FrontierBllEngine, FrontierEngine, FrontierFamily,
+        AlgorithmKind, BllLabeling, FrontierBllEngine, FrontierEngine, FrontierFamily,
         FrontierFrEngine, FrontierNewPrEngine, FrontierPairHeightsEngine, FrontierPrEngine,
-        FrontierTripleHeightsEngine, FullReversalAutomaton, FullReversalEngine, NewPrAutomaton,
-        NewPrEngine, OneStepPrAutomaton, PairHeightsEngine, PrEngine, PrSetAutomaton,
-        ReversalEngine, TripleHeightsEngine,
+        FrontierTripleHeightsEngine, FullReversalAutomaton, NewPrAutomaton, OneStepPrAutomaton,
+        PrSetAutomaton, ReversalEngine,
     };
     pub use lr_core::engine::{
-        run_engine, run_engine_frontier, run_engine_frontier_sharded, run_engine_parallel,
-        run_to_destination_oriented, RunStats, SchedulePolicy, DEFAULT_MAX_STEPS,
+        run_engine_frontier, run_engine_frontier_sharded, run_to_destination_oriented, RunStats,
+        SchedulePolicy, DEFAULT_MAX_STEPS,
     };
     pub use lr_core::invariants;
     pub use lr_core::{StepOutcome, StepScratch};

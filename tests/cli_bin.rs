@@ -51,8 +51,6 @@ fn help_flags_match_help_command() {
     // observability plumbing — a flag the help doesn't mention is a flag
     // users can't find.
     for needle in [
-        "--engine map|frontier",
-        "default frontier",
         "--threads N",
         "--obs <off|summary|json|chrome>",
         "--obs-out <path>",
@@ -95,29 +93,6 @@ fn generate_then_run_pipeline() {
     assert!(ok);
     assert!(stats.contains("total reversals:  7"));
     assert!(stats.contains("dest oriented:    true"));
-}
-
-/// `--engine` end-to-end: the default frontier substrate and the
-/// map-backed reference produce the same statistics through a real
-/// process, differing only in the reported engine line.
-#[test]
-fn run_engine_flag_switches_substrate_with_identical_stats() {
-    let (instance, _, ok) = run_with_stdin(&["generate", "chain-away", "8"], "");
-    assert!(ok);
-    let (frontier, stderr, ok) = run_with_stdin(&["run", "PR"], &instance);
-    assert!(ok, "frontier run failed: {stderr}");
-    assert!(
-        frontier.contains("engine:           frontier"),
-        "{frontier}"
-    );
-    assert!(frontier.contains("total reversals:  7"), "{frontier}");
-    let (map, stderr, ok) = run_with_stdin(&["run", "PR", "--engine", "map"], &instance);
-    assert!(ok, "map run failed: {stderr}");
-    assert!(map.contains("engine:           map"), "{map}");
-    assert_eq!(frontier.replace("frontier", "map"), map);
-    let (_, stderr, ok) = run_with_stdin(&["run", "PR", "--engine", "warp"], &instance);
-    assert!(!ok);
-    assert!(stderr.contains("unknown engine"), "{stderr}");
 }
 
 /// `--threads` end-to-end: the node-range-sharded parallel loop is
@@ -307,6 +282,17 @@ fn bad_input_fails_with_message_and_nonzero_exit() {
     let (_, stderr, ok) = run_with_stdin(&["run", "NOPE"], "dest 0\n0 > 1\n");
     assert!(!ok);
     assert!(stderr.contains("unknown algorithm"));
+
+    // A size below the family minimum is a named error, not a panic.
+    for family in ["chain-away", "grid", "random", "complete"] {
+        let out = lr().args(["generate", family, "1"]).output().unwrap();
+        assert_eq!(out.status.code(), Some(1), "generate {family} 1");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(
+            stderr,
+            format!("error: {family} size must be at least 2, got \"1\"\n")
+        );
+    }
 }
 
 /// Satellite contract of the shared numeric-flag parser, end-to-end:

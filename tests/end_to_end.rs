@@ -30,7 +30,7 @@ fn every_algorithm_orients_every_family_under_every_policy() {
     for (name, inst) in families() {
         for kind in AlgorithmKind::ALL {
             for policy in policies {
-                let mut engine = kind.engine(&inst);
+                let mut engine = kind.frontier_engine(CsrInstance::from_instance(&inst));
                 let stats = run_to_destination_oriented(engine.as_mut(), policy, DEFAULT_MAX_STEPS);
                 assert!(
                     stats.terminated,
@@ -53,8 +53,8 @@ fn final_work_is_schedule_sensitive_but_bounded() {
         SchedulePolicy::RandomSingle { seed: 5 },
         SchedulePolicy::FirstSingle,
     ] {
-        let mut e = PrEngine::new(&inst);
-        let stats = run_engine(&mut e, policy, DEFAULT_MAX_STEPS);
+        let mut e = FrontierPrEngine::new(CsrInstance::from_instance(&inst));
+        let stats = run_engine_frontier(&mut e, policy, DEFAULT_MAX_STEPS);
         assert!(stats.terminated);
         assert!(
             stats.total_reversals <= nb * nb + nb,
@@ -70,7 +70,7 @@ fn acyclicity_holds_in_every_intermediate_state() {
     // mirror-consistency at every prefix.
     let inst = generate::random_connected(14, 12, 33);
     for kind in AlgorithmKind::ALL {
-        let mut engine = kind.engine(&inst);
+        let mut engine = kind.frontier_engine(CsrInstance::from_instance(&inst));
         let mut guard = 0;
         loop {
             let o = engine.orientation();
@@ -94,7 +94,7 @@ fn automata_and_engines_trace_identically() {
     // NewPR
     let aut = NewPrAutomaton { inst: &inst };
     let exec = run(&aut, &mut schedulers::UniformRandom::seeded(9), 100_000);
-    let mut eng = NewPrEngine::new(&inst);
+    let mut eng = FrontierNewPrEngine::new(CsrInstance::from_instance(&inst));
     for &u in exec.actions() {
         eng.step(u);
     }
@@ -102,7 +102,7 @@ fn automata_and_engines_trace_identically() {
     // OneStepPR
     let aut = OneStepPrAutomaton { inst: &inst };
     let exec = run(&aut, &mut schedulers::UniformRandom::seeded(9), 100_000);
-    let mut eng = PrEngine::new(&inst);
+    let mut eng = FrontierPrEngine::new(CsrInstance::from_instance(&inst));
     for &u in exec.actions() {
         eng.step(u);
     }
@@ -115,10 +115,10 @@ fn height_formulations_match_list_formulations_on_large_graphs() {
     // identical orientations at every step.
     for seed in 0..3 {
         let inst = generate::random_connected(40, 50, 1234 + seed);
-        let mut pr = PrEngine::new(&inst);
-        let mut gb = TripleHeightsEngine::new(&inst);
-        let mut fr = FullReversalEngine::new(&inst);
-        let mut gp = PairHeightsEngine::new(&inst);
+        let mut pr = FrontierPrEngine::new(CsrInstance::from_instance(&inst));
+        let mut gb = FrontierTripleHeightsEngine::new(CsrInstance::from_instance(&inst));
+        let mut fr = FrontierFrEngine::new(CsrInstance::from_instance(&inst));
+        let mut gp = FrontierPairHeightsEngine::new(CsrInstance::from_instance(&inst));
         let mut guard = 0;
         loop {
             assert_eq!(pr.enabled(), gb.enabled());
@@ -146,8 +146,11 @@ fn height_formulations_match_list_formulations_on_large_graphs() {
 #[test]
 fn bll_instantiations_match_their_targets_at_scale() {
     let inst = generate::random_connected(30, 35, 555);
-    let mut bll_pr = BllEngine::new(&inst, BllLabeling::PartialReversal);
-    let mut pr = PrEngine::new(&inst);
+    let mut bll_pr = FrontierBllEngine::new(
+        CsrInstance::from_instance(&inst),
+        BllLabeling::PartialReversal,
+    );
+    let mut pr = FrontierPrEngine::new(CsrInstance::from_instance(&inst));
     let mut guard = 0;
     loop {
         assert_eq!(bll_pr.enabled(), pr.enabled());
@@ -165,8 +168,8 @@ fn bll_instantiations_match_their_targets_at_scale() {
 fn destination_never_steps_anywhere() {
     for (name, inst) in families() {
         for kind in AlgorithmKind::ALL {
-            let mut engine = kind.engine(&inst);
-            let stats = run_engine(
+            let mut engine = kind.frontier_engine(CsrInstance::from_instance(&inst));
+            let stats = run_engine_frontier(
                 engine.as_mut(),
                 SchedulePolicy::RandomSingle { seed: 1 },
                 DEFAULT_MAX_STEPS,

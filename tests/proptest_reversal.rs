@@ -53,8 +53,8 @@ proptest! {
         inst in instance_strategy(),
         pick_last in any::<bool>(),
     ) {
-        let mut pr = PrEngine::new(&inst);
-        let mut gb = TripleHeightsEngine::new(&inst);
+        let mut pr = FrontierPrEngine::new(CsrInstance::from_instance(&inst));
+        let mut gb = FrontierTripleHeightsEngine::new(CsrInstance::from_instance(&inst));
         let mut guard = 0;
         loop {
             prop_assert_eq!(pr.enabled(), gb.enabled());
@@ -94,8 +94,8 @@ proptest! {
         let nb = inst.initial_bad_nodes();
         let n = inst.node_count();
         for kind in AlgorithmKind::ALL {
-            let mut e = kind.engine(&inst);
-            let stats = run_engine(e.as_mut(), SchedulePolicy::RandomSingle { seed }, 10_000_000);
+            let mut e = kind.frontier_engine(CsrInstance::from_instance(&inst));
+            let stats = run_engine_frontier(e.as_mut(), SchedulePolicy::RandomSingle { seed }, 10_000_000);
             prop_assert!(stats.terminated);
             // Loose but universal sanity ceiling: (nb+1)² + n steps.
             prop_assert!(
@@ -119,8 +119,8 @@ proptest! {
                 SchedulePolicy::FirstSingle,
                 SchedulePolicy::LastSingle,
             ] {
-                let mut e = kind.engine(&inst);
-                let stats = run_engine(e.as_mut(), policy, 10_000_000);
+                let mut e = kind.frontier_engine(CsrInstance::from_instance(&inst));
+                let stats = run_engine_frontier(e.as_mut(), policy, 10_000_000);
                 prop_assert!(stats.terminated);
                 // The dense work vector is comparable across runs on one
                 // instance: every engine shares the same CSR indexing.

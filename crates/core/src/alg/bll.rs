@@ -15,7 +15,7 @@
 
 use std::sync::Arc;
 
-use lr_graph::{CsrGraph, CsrInstance, NodeId, Orientation};
+use lr_graph::{CsrGraph, CsrInstance, NodeId};
 
 use crate::alg::frontier::{count_bits_in_range, set_bits_in_range};
 use crate::alg::{FrontierEngine, ReversalEngine};
@@ -169,8 +169,8 @@ impl ReversalEngine for FrontierBllEngine {
         self.tracker.record_step(&csr, u, reversed);
     }
 
-    fn orientation(&self) -> Orientation {
-        self.dirs.orientation()
+    fn flat_orientation(&self) -> CsrInstance {
+        self.init.reoriented(self.dirs.canonical_out_words())
     }
 
     fn begin_round(&mut self) {

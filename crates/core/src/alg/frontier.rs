@@ -43,7 +43,7 @@
 
 use std::sync::Arc;
 
-use lr_graph::{CsrGraph, CsrInstance, NodeId, Orientation};
+use lr_graph::{CsrGraph, CsrInstance, NodeId};
 
 use crate::alg::{
     AlgorithmKind, BllLabeling, FrontierBllEngine, FrontierFrEngine, FrontierNewPrEngine,
@@ -364,8 +364,8 @@ impl ReversalEngine for FrontierPrEngine {
         self.tracker.record_step(&csr, u, reversed);
     }
 
-    fn orientation(&self) -> Orientation {
-        self.dirs.orientation()
+    fn flat_orientation(&self) -> CsrInstance {
+        self.init.reoriented(self.dirs.canonical_out_words())
     }
 
     fn begin_round(&mut self) {

@@ -7,7 +7,7 @@
 
 use std::sync::Arc;
 
-use lr_graph::{CsrGraph, CsrInstance, NodeId, Orientation, ReversalInstance};
+use lr_graph::{CsrGraph, CsrInstance, NodeId, ReversalInstance};
 use lr_ioa::Automaton;
 
 use crate::alg::{FrontierEngine, ReversalEngine};
@@ -136,8 +136,8 @@ impl ReversalEngine for FrontierFrEngine {
         self.tracker.record_step(&csr, u, reversed);
     }
 
-    fn orientation(&self) -> Orientation {
-        self.dirs.orientation()
+    fn flat_orientation(&self) -> CsrInstance {
+        self.init.reoriented(self.dirs.canonical_out_words())
     }
 
     fn begin_round(&mut self) {

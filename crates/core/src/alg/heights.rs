@@ -21,10 +21,9 @@
 //! as the local-state algorithm in the distributed simulator, where nodes
 //! only know their neighbors' heights.
 
-use std::collections::VecDeque;
 use std::sync::Arc;
 
-use lr_graph::{CsrGraph, CsrInstance, EdgeDir, NodeId, Orientation};
+use lr_graph::{CsrGraph, CsrInstance, NodeId};
 
 use crate::alg::{FrontierEngine, ReversalEngine};
 use crate::{EnabledTracker, PlanAux, StepOutcome, StepScratch};
@@ -50,37 +49,20 @@ pub struct TripleHeight {
 }
 
 /// Plane-embedding x-coordinates by dense CSR index, computed without a
-/// map-backed instance: a CSR-native Kahn peel of the retained initial
-/// orientation that visits nodes and out-neighbors in exactly the order
+/// map-backed instance: a node's coordinate is its position in
+/// [`CsrInstance::topological_order`], whose Kahn peel visits nodes and
+/// out-neighbors in exactly the order
 /// [`lr_graph::PlaneEmbedding::of_initial`] does (ascending id seeds,
 /// FIFO queue, ascending out-slots), so both routes assign identical
 /// coordinates.
 fn initial_positions_flat(inst: &CsrInstance) -> Vec<usize> {
-    let csr = inst.csr();
-    let n = csr.node_count();
-    let mut indeg = vec![0u32; n];
-    for slot in 0..csr.half_edge_count() {
-        if inst.init_dir_at(slot) == EdgeDir::Out {
-            indeg[csr.target(slot)] += 1;
-        }
+    let order = inst
+        .topological_order()
+        .expect("initial orientation must be acyclic");
+    let mut pos = vec![0usize; order.len()];
+    for (x, &u) in order.iter().enumerate() {
+        pos[u as usize] = x;
     }
-    let mut ready: VecDeque<usize> = (0..n).filter(|&i| indeg[i] == 0).collect();
-    let mut pos = vec![0usize; n];
-    let mut next = 0usize;
-    while let Some(u) = ready.pop_front() {
-        pos[u] = next;
-        next += 1;
-        for slot in csr.slots(u) {
-            if inst.init_dir_at(slot) == EdgeDir::Out {
-                let v = csr.target(slot);
-                indeg[v] -= 1;
-                if indeg[v] == 0 {
-                    ready.push_back(v);
-                }
-            }
-        }
-    }
-    assert_eq!(next, n, "initial orientation must be acyclic");
     pos
 }
 
@@ -101,24 +83,19 @@ fn height_is_sink_at<H: Ord>(csr: &CsrGraph, heights: &[H], idx: usize) -> bool 
             .all(|&v| heights[v as usize] > heights[idx])
 }
 
-/// The orientation induced by total-order heights: each edge runs from
-/// the higher endpoint to the lower.
-fn height_orientation<H: Ord>(csr: &CsrGraph, heights: &[H]) -> Orientation {
-    let mut o = Orientation::new();
+/// The orientation induced by total-order heights as packed out bits
+/// (one per half-edge slot): each edge runs from the higher endpoint to
+/// the lower.
+fn height_out_words<H: Ord>(csr: &CsrGraph, heights: &[H]) -> Vec<u64> {
+    let mut out = vec![0u64; csr.half_edge_count().div_ceil(64)];
     for src in 0..csr.node_count() {
         for slot in csr.slots(src) {
-            let dst = csr.target(slot);
-            if src < dst {
-                let (u, v) = (csr.node(src), csr.node(dst));
-                if heights[src] > heights[dst] {
-                    o.set_from_to(u, v);
-                } else {
-                    o.set_from_to(v, u);
-                }
+            if heights[src] > heights[csr.target(slot)] {
+                out[slot >> 6] |= 1u64 << (slot & 63);
             }
         }
     }
-    o
+    out
 }
 
 /// The initial pair heights of a flat instance: `α_u = n − 1 − x(u)`.
@@ -242,8 +219,9 @@ impl ReversalEngine for FrontierPairHeightsEngine {
         self.tracker.record_step(&csr, u, reversed);
     }
 
-    fn orientation(&self) -> Orientation {
-        height_orientation(self.init.csr(), &self.heights)
+    fn flat_orientation(&self) -> CsrInstance {
+        self.init
+            .reoriented(height_out_words(self.init.csr(), &self.heights))
     }
 
     fn begin_round(&mut self) {
@@ -376,8 +354,9 @@ impl ReversalEngine for FrontierTripleHeightsEngine {
         self.tracker.record_step(&csr, u, reversed);
     }
 
-    fn orientation(&self) -> Orientation {
-        height_orientation(self.init.csr(), &self.heights)
+    fn flat_orientation(&self) -> CsrInstance {
+        self.init
+            .reoriented(height_out_words(self.init.csr(), &self.heights))
     }
 
     fn begin_round(&mut self) {

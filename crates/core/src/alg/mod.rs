@@ -161,8 +161,19 @@ pub trait ReversalEngine: Sync {
     /// bringing [`ReversalEngine::enabled`] current.
     fn end_round(&mut self) {}
 
-    /// The current single-copy orientation of the graph.
-    fn orientation(&self) -> Orientation;
+    /// The current orientation as a flat instance over the engine's
+    /// shared CSR: one out bit per half-edge slot, each edge read from
+    /// its smaller-index endpoint's copy, and the destination. The flat
+    /// checks ([`CsrInstance::is_acyclic`],
+    /// [`CsrInstance::is_destination_oriented`]) run on it directly.
+    fn flat_orientation(&self) -> CsrInstance;
+
+    /// The current single-copy orientation of the graph in map form —
+    /// [`ReversalEngine::flat_orientation`] through
+    /// [`CsrInstance::orientation`].
+    fn orientation(&self) -> Orientation {
+        self.flat_orientation().orientation()
+    }
 
     /// Whether the execution has terminated (no enabled node). For
     /// connected instances this is exactly destination-orientedness. O(1).
@@ -239,6 +250,21 @@ mod tests {
             assert_eq!(e.algorithm_name(), kind.name());
             assert!(!e.is_terminated(), "{} should have work", kind.name());
             assert_eq!(e.enabled(), &[lr_graph::NodeId::new(3)][..]);
+        }
+    }
+
+    #[test]
+    fn flat_orientation_starts_at_the_instance_and_shares_its_csr() {
+        let flat = lr_graph::stream::alternating_chain(9);
+        for family in FrontierFamily::ALL {
+            let mut e = family.engine(flat.clone());
+            assert_eq!(e.flat_orientation(), flat, "{}", family.name());
+            let u = e.enabled()[0];
+            e.step(u);
+            let now = e.flat_orientation();
+            assert!(Arc::ptr_eq(now.csr(), flat.csr()));
+            assert_eq!(now.orientation(), e.orientation());
+            assert_ne!(now, flat, "{} stepped", family.name());
         }
     }
 

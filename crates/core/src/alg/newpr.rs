@@ -16,7 +16,7 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use lr_graph::{CsrGraph, CsrInstance, EdgeDir, NodeId, Orientation, ReversalInstance};
+use lr_graph::{CsrGraph, CsrInstance, EdgeDir, NodeId, ReversalInstance};
 use lr_ioa::Automaton;
 
 use crate::alg::{FrontierEngine, ReversalEngine};
@@ -197,8 +197,8 @@ impl ReversalEngine for FrontierNewPrEngine {
         self.tracker.record_step(&csr, u, reversed);
     }
 
-    fn orientation(&self) -> Orientation {
-        self.dirs.orientation()
+    fn flat_orientation(&self) -> CsrInstance {
+        self.init.reoriented(self.dirs.canonical_out_words())
     }
 
     fn begin_round(&mut self) {

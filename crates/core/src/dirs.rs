@@ -282,6 +282,27 @@ impl MirroredDirs {
         o
     }
 
+    /// The single-copy orientation as packed out bits in the layout of
+    /// [`CsrInstance::init_out_words`]: each edge's direction is read from
+    /// its smaller-index endpoint's copy, as in
+    /// [`MirroredDirs::orientation`], and mirrored onto the twin slot.
+    pub fn canonical_out_words(&self) -> Vec<u64> {
+        let mut out = vec![0u64; self.words.len()];
+        for src in 0..self.csr.node_count() {
+            for slot in self.csr.slots(src) {
+                if src < self.csr.target(slot) {
+                    let set = match self.dir_at(slot) {
+                        EdgeDir::Out => slot,
+                        EdgeDir::In => self.csr.twin(slot),
+                    };
+                    let (w, m) = word_bit(set);
+                    out[w] |= m;
+                }
+            }
+        }
+        out
+    }
+
     /// Number of ordered direction entries (= 2 × edge count).
     pub fn len(&self) -> usize {
         self.len

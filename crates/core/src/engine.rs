@@ -28,7 +28,7 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use lr_graph::{CsrGraph, EdgeDir, NodeId};
+use lr_graph::{CsrGraph, NodeId};
 use lr_obs::MetricsShard;
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
@@ -532,51 +532,11 @@ pub fn run_to_destination_oriented(
         "{} did not terminate within {max_steps} steps",
         stats.algorithm
     );
-    // Check the postcondition over the CSR snapshot. For a connected
-    // graph, destination-oriented is equivalent to acyclic with the
-    // destination as the unique sink.
-    let o = engine.orientation();
-    let csr = engine.csr();
-    let dest = engine.dest();
-    let mut outdeg = vec![0u32; csr.node_count()];
-    for (src, deg) in outdeg.iter_mut().enumerate() {
-        let u = csr.node(src);
-        for slot in csr.slots(src) {
-            let v = csr.node(csr.target(slot));
-            if o.dir(u, v).expect("orientation covers every edge") == EdgeDir::Out {
-                *deg += 1;
-            }
-        }
-    }
-    // Kahn's algorithm on the reverse graph: repeatedly peel sinks.
-    let mut queue: Vec<usize> = (0..csr.node_count()).filter(|&i| outdeg[i] == 0).collect();
-    for &i in &queue {
-        assert!(
-            csr.node(i) == dest || csr.degree(i) == 0,
-            "{} terminated non-destination-oriented: {} is a sink",
-            stats.algorithm,
-            csr.node(i)
-        );
-    }
-    let mut peeled = 0usize;
-    while let Some(i) = queue.pop() {
-        peeled += 1;
-        let u = csr.node(i);
-        for slot in csr.slots(i) {
-            let src = csr.target(slot);
-            let v = csr.node(src);
-            if o.dir(v, u).expect("orientation covers every edge") == EdgeDir::Out {
-                outdeg[src] -= 1;
-                if outdeg[src] == 0 {
-                    queue.push(src);
-                }
-            }
-        }
-    }
-    assert_eq!(
-        peeled,
-        csr.node_count(),
-        "{} broke acyclicity",
+    let flat = engine.flat_orientation();
+    assert!(flat.is_acyclic(), "{} broke acyclicity", stats.algorithm);
+    assert!(
+        flat.is_destination_oriented(),
+        "{} terminated non-destination-oriented",
         stats.algorithm
     );
     stats

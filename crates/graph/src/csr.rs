@@ -118,6 +118,11 @@ fn twin_table(offsets: &[u32], targets: &[u32]) -> Vec<u32> {
     twins
 }
 
+/// Whether an ascending node table is exactly the ids `0..n`.
+fn is_contiguous(nodes: &[NodeId]) -> bool {
+    nodes.iter().enumerate().all(|(i, u)| u.raw() as usize == i)
+}
+
 impl CsrGraph {
     /// Builds the CSR snapshot of `graph` in O(n + m).
     ///
@@ -141,7 +146,7 @@ impl CsrGraph {
     pub fn try_from_graph(graph: &UndirectedGraph) -> Result<Self, GraphError> {
         check_slot_capacity(2 * graph.edge_count())?;
         let nodes: Vec<NodeId> = graph.nodes().collect();
-        let contiguous = nodes.iter().enumerate().all(|(i, u)| u.raw() as usize == i);
+        let contiguous = is_contiguous(&nodes);
         let mut offsets = Vec::with_capacity(nodes.len() + 1);
         let mut targets = Vec::with_capacity(2 * graph.edge_count());
         offsets.push(0u32);
@@ -168,10 +173,11 @@ impl CsrGraph {
         })
     }
 
-    /// Builds a contiguous-id CSR directly from prepared offset/target
-    /// arrays whose neighbor runs are already strictly ascending — the
-    /// scatter-pass back door for streaming generators that cannot emit
-    /// node-by-node (layered DAGs, random graphs).
+    /// Builds a CSR directly from an ascending node table and prepared
+    /// offset/target arrays whose neighbor runs are already strictly
+    /// ascending — the scatter-pass back door for the instance-text parser
+    /// and for streaming generators that cannot emit node-by-node
+    /// (layered DAGs, random graphs).
     ///
     /// # Errors
     ///
@@ -181,13 +187,21 @@ impl CsrGraph {
     /// # Panics
     ///
     /// Panics on malformed arrays (unsorted or out-of-range runs,
-    /// asymmetric adjacency) — generator bugs, not runtime conditions.
+    /// asymmetric adjacency, a node table that is not strictly ascending
+    /// or does not match `offsets`) — caller bugs, not runtime
+    /// conditions.
     pub(crate) fn from_sorted_adjacency(
+        nodes: Vec<NodeId>,
         offsets: Vec<u32>,
         targets: Vec<u32>,
     ) -> Result<Self, GraphError> {
         check_slot_capacity(targets.len())?;
         let n = offsets.len() - 1;
+        assert_eq!(nodes.len(), n, "one node table entry per offset run");
+        assert!(
+            nodes.windows(2).all(|w| w[0] < w[1]),
+            "node table must be strictly ascending"
+        );
         assert_eq!(
             *offsets.last().expect("offsets nonempty") as usize,
             targets.len()
@@ -205,8 +219,8 @@ impl CsrGraph {
         }
         let twins = twin_table(&offsets, &targets);
         Ok(CsrGraph {
-            nodes: (0..n as u32).map(NodeId::new).collect(),
-            contiguous: true,
+            contiguous: is_contiguous(&nodes),
+            nodes,
             offsets,
             targets,
             twins,

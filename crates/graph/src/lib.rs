@@ -18,6 +18,11 @@
 //!   DAG used by Invariants 4.1 and 4.2 of the paper.
 //! * [`ReversalInstance`] — a ready-to-run initial configuration
 //!   (graph, initial orientation, destination).
+//! * [`CsrInstance`] — its flat counterpart (CSR graph, orientation
+//!   packed to one bit per half-edge, destination) that the engines run
+//!   on, with flat acyclicity and destination-orientation checks. The
+//!   [`stream`] generators build it and [`parse`] reads it straight from
+//!   instance text.
 //! * [`generate`] — workload generators: chains, trees, grids, layered DAGs,
 //!   random connected DAGs, and the worst-case families used in the
 //!   benchmark harness.

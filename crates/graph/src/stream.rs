@@ -30,12 +30,12 @@ use crate::{
 };
 
 /// Reads bit `i` of a packed word array.
-fn bit_get(words: &[u64], i: usize) -> bool {
+pub(crate) fn bit_get(words: &[u64], i: usize) -> bool {
     (words[i >> 6] >> (i & 63)) & 1 == 1
 }
 
 /// Sets bit `i` of a packed word array.
-fn bit_set(words: &mut [u64], i: usize) {
+pub(crate) fn bit_set(words: &mut [u64], i: usize) {
     words[i >> 6] |= 1u64 << (i & 63);
 }
 
@@ -46,7 +46,11 @@ fn bit_set(words: &mut [u64], i: usize) {
 ///
 /// This is the large-scale counterpart of [`ReversalInstance`]; the two
 /// are interconvertible via [`CsrInstance::from_instance`] and
-/// [`CsrInstance::to_instance`].
+/// [`CsrInstance::to_instance`]. [`crate::parse::parse_csr_instance`]
+/// reads one straight from instance text, and the flat checks
+/// ([`CsrInstance::is_acyclic`], [`CsrInstance::bad_node_count`],
+/// [`CsrInstance::is_destination_oriented`]) answer the paper's
+/// questions about the orientation without building a map.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CsrInstance {
     csr: Arc<CsrGraph>,
@@ -55,6 +59,17 @@ pub struct CsrInstance {
 }
 
 impl CsrInstance {
+    /// Wraps prepared parts; `init_out` holds one bit per half-edge slot
+    /// with zero padding.
+    pub(crate) fn from_parts(csr: Arc<CsrGraph>, init_out: Vec<u64>, dest: NodeId) -> Self {
+        debug_assert_eq!(init_out.len(), csr.half_edge_count().div_ceil(64));
+        CsrInstance {
+            csr,
+            init_out,
+            dest,
+        }
+    }
+
     /// Converts a materialized instance to the flat representation.
     pub fn from_instance(inst: &ReversalInstance) -> Self {
         let csr = Arc::new(CsrGraph::from_graph(&inst.graph));
@@ -68,11 +83,37 @@ impl CsrInstance {
                 }
             }
         }
-        CsrInstance {
-            csr,
-            init_out,
-            dest: inst.dest,
-        }
+        CsrInstance::from_parts(csr, init_out, inst.dest)
+    }
+
+    /// The same graph and destination under another orientation, given
+    /// as packed out bits in the layout of
+    /// [`CsrInstance::init_out_words`] (one bit per half-edge slot, set
+    /// ⟺ out, padding bits zero). The CSR is shared, not copied — this
+    /// is how an engine hands its current orientation to the flat
+    /// checks.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out` does not hold exactly one bit per half-edge slot.
+    pub fn reoriented(&self, out: Vec<u64>) -> CsrInstance {
+        assert_eq!(
+            out.len(),
+            self.half_edge_count().div_ceil(64),
+            "one orientation bit per half-edge slot"
+        );
+        CsrInstance::from_parts(Arc::clone(&self.csr), out, self.dest)
+    }
+
+    /// Every edge once, as `(smaller endpoint's dense index, its slot)`
+    /// (CSR nodes are ascending by id).
+    fn edge_slots(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
+        let csr = &self.csr;
+        (0..csr.node_count()).flat_map(move |ui| {
+            csr.slots(ui)
+                .filter(move |&slot| ui < csr.target(slot))
+                .map(move |slot| (ui, slot))
+        })
     }
 
     /// The map-backed view of this instance — the one adapter from the
@@ -91,21 +132,119 @@ impl CsrInstance {
         for u in csr.nodes() {
             graph.ensure_node(u);
         }
-        let mut init = Orientation::new();
-        for ui in 0..csr.node_count() {
-            let u = csr.node(ui);
-            // Each edge once, from its smaller endpoint (CSR nodes are
-            // ascending by id).
-            for slot in csr.slots(ui).filter(|&slot| ui < csr.target(slot)) {
-                let v = csr.node(csr.target(slot));
-                graph.add_edge(u, v)?;
-                match self.init_dir_at(slot) {
-                    EdgeDir::Out => init.set_from_to(u, v),
-                    EdgeDir::In => init.set_from_to(v, u),
+        for (ui, slot) in self.edge_slots() {
+            graph.add_edge(csr.node(ui), csr.node(csr.target(slot)))?;
+        }
+        ReversalInstance::new(graph, self.orientation(), self.dest)
+    }
+
+    /// The orientation as a map [`Orientation`], each edge directed as
+    /// its smaller endpoint's slot bit says.
+    pub fn orientation(&self) -> Orientation {
+        let csr = &self.csr;
+        let mut o = Orientation::new();
+        for (ui, slot) in self.edge_slots() {
+            let (u, v) = (csr.node(ui), csr.node(csr.target(slot)));
+            match self.init_dir_at(slot) {
+                EdgeDir::Out => o.set_from_to(u, v),
+                EdgeDir::In => o.set_from_to(v, u),
+            }
+        }
+        o
+    }
+
+    /// Checks what [`ReversalInstance::new`] checks, in the same order,
+    /// on the flat arrays.
+    ///
+    /// # Errors
+    ///
+    /// * [`GraphError::UnknownNode`] — the destination is not a node.
+    /// * [`GraphError::Disconnected`] — the graph is not connected.
+    /// * [`GraphError::ContainsCycle`] — the orientation is not acyclic.
+    pub fn validate(&self) -> Result<(), GraphError> {
+        self.csr.require_index_of(self.dest)?;
+        if self.reached_from(0, |_| true) != self.node_count() {
+            return Err(GraphError::Disconnected);
+        }
+        if !self.is_acyclic() {
+            return Err(GraphError::ContainsCycle);
+        }
+        Ok(())
+    }
+
+    /// Kahn's algorithm over the out-slots: the dense indices in a
+    /// topological order of the orientation, or `None` if it has a
+    /// directed cycle. The seeds are the sources in ascending order, the
+    /// queue is FIFO and each node's out-slots are visited ascending —
+    /// the order in which [`crate::PlaneEmbedding::of_initial`] assigns
+    /// x-coordinates.
+    pub fn topological_order(&self) -> Option<Vec<u32>> {
+        let csr = &self.csr;
+        let n = csr.node_count();
+        let mut indeg: Vec<u32> = (0..n)
+            .map(|i| {
+                csr.slots(i)
+                    .filter(|&s| !bit_get(&self.init_out, s))
+                    .count() as u32
+            })
+            .collect();
+        // `order` doubles as the FIFO queue: `head` is its front.
+        let mut order: Vec<u32> = (0..n as u32).filter(|&i| indeg[i as usize] == 0).collect();
+        order.reserve(n - order.len());
+        let mut head = 0;
+        while let Some(&u) = order.get(head) {
+            head += 1;
+            for slot in csr.slots(u as usize) {
+                if bit_get(&self.init_out, slot) {
+                    let v = csr.target(slot);
+                    indeg[v] -= 1;
+                    if indeg[v] == 0 {
+                        order.push(v as u32);
+                    }
                 }
             }
         }
-        ReversalInstance::new(graph, init, self.dest)
+        (order.len() == n).then_some(order)
+    }
+
+    /// Whether the orientation is acyclic (Kahn's algorithm over the
+    /// out-slots).
+    pub fn is_acyclic(&self) -> bool {
+        self.topological_order().is_some()
+    }
+
+    /// Number of nodes with **no** directed path to the destination —
+    /// the paper's `n_b` — by a BFS from the destination over in-slots.
+    pub fn bad_node_count(&self) -> usize {
+        let reaching = self.reached_from(self.dest_index(), |slot| !bit_get(&self.init_out, slot));
+        self.node_count() - reaching
+    }
+
+    /// Whether every node has a directed path to the destination.
+    pub fn is_destination_oriented(&self) -> bool {
+        self.bad_node_count() == 0
+    }
+
+    /// Number of nodes reached by a BFS from dense index `start` that
+    /// crosses exactly the slots `follow` accepts (from the slot's owner
+    /// to its target).
+    fn reached_from(&self, start: usize, follow: impl Fn(usize) -> bool) -> usize {
+        let csr = &self.csr;
+        let mut seen = vec![false; csr.node_count()];
+        seen[start] = true;
+        let mut queue = vec![start as u32];
+        let mut head = 0;
+        while let Some(&u) = queue.get(head) {
+            head += 1;
+            for slot in csr.slots(u as usize) {
+                let v = csr.target(slot);
+                if follow(slot) && !seen[v] {
+                    seen[v] = true;
+                    queue.push(v as u32);
+                }
+            }
+        }
+        queue.len()
     }
 
     /// The CSR graph.
@@ -192,11 +331,7 @@ impl InstanceBuilder {
             .b
             .finish()
             .expect("streaming generators check capacity up front");
-        CsrInstance {
-            csr: Arc::new(csr),
-            init_out: self.init_out,
-            dest,
-        }
+        CsrInstance::from_parts(Arc::new(csr), self.init_out, dest)
     }
 }
 
@@ -487,13 +622,10 @@ pub fn layered(width: usize, depth: usize, p: f64, seed: u64) -> CsrInstance {
         targets[sv] = u as u32;
         cursor[v] += 1;
     });
-    let csr = CsrGraph::from_sorted_adjacency(offsets, targets)
+    let nodes = (0..n as u32).map(NodeId::new).collect();
+    let csr = CsrGraph::from_sorted_adjacency(nodes, offsets, targets)
         .expect("capacity checked before allocation");
-    CsrInstance {
-        csr: Arc::new(csr),
-        init_out,
-        dest: NodeId::new(0),
-    }
+    CsrInstance::from_parts(Arc::new(csr), init_out, NodeId::new(0))
 }
 
 /// Streaming [`crate::generate::random_connected`]: a random attachment
@@ -583,13 +715,10 @@ pub fn random_connected(n: usize, extra_edges: usize, seed: u64) -> CsrInstance 
             }
         }
     }
-    let csr = CsrGraph::from_sorted_adjacency(offsets, targets)
+    let nodes = (0..n as u32).map(NodeId::new).collect();
+    let csr = CsrGraph::from_sorted_adjacency(nodes, offsets, targets)
         .expect("capacity checked before allocation");
-    CsrInstance {
-        csr: Arc::new(csr),
-        init_out,
-        dest: NodeId::new(0),
-    }
+    CsrInstance::from_parts(Arc::new(csr), init_out, NodeId::new(0))
 }
 
 #[cfg(test)]
@@ -622,6 +751,36 @@ mod tests {
             round_trip(layered(3, 2, 0.4, seed));
             round_trip(random_connected(9, 6, seed));
         }
+    }
+
+    #[test]
+    fn flat_checks_agree_with_the_map_view() {
+        for seed in 0..8 {
+            let inst = random_connected(14, 12, seed);
+            let map = inst.to_instance().unwrap();
+            let view = map.view();
+            assert!(inst.is_acyclic());
+            assert_eq!(inst.validate(), Ok(()));
+            assert_eq!(inst.orientation(), map.init);
+            assert_eq!(inst.bad_node_count(), view.bad_node_count(map.dest));
+            assert_eq!(
+                inst.is_destination_oriented(),
+                view.is_destination_oriented(map.dest)
+            );
+        }
+        assert!(chain_toward(5).is_destination_oriented());
+        assert_eq!(chain_away(5).bad_node_count(), 4);
+    }
+
+    #[test]
+    fn a_directed_cycle_fails_the_flat_checks() {
+        // The triangle's slots are (0,1) (0,2) (1,0) (1,2) (2,0) (2,1);
+        // setting slots 0, 3 and 4 out gives the cycle 0 → 1 → 2 → 0.
+        let cyclic = complete_away(3).reoriented(vec![0b11001]);
+        assert!(!cyclic.is_acyclic());
+        assert_eq!(cyclic.topological_order(), None);
+        assert_eq!(cyclic.validate(), Err(GraphError::ContainsCycle));
+        assert!(cyclic.is_destination_oriented(), "on a cycle all reach 0");
     }
 
     #[test]

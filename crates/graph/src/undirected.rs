@@ -73,19 +73,23 @@ impl UndirectedGraph {
     }
 
     /// Adds a fresh node and returns its identifier.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the `u32` id space above the largest id is used up.
     pub fn add_node(&mut self) -> NodeId {
         let id = NodeId::new(self.next_id);
-        self.next_id += 1;
+        assert!(!self.adj.contains_key(&id), "no fresh node id left");
+        self.next_id = self.next_id.saturating_add(1);
         self.adj.insert(id, BTreeSet::new());
         id
     }
 
-    /// Ensures a node with the given identifier exists.
+    /// Ensures a node with the given identifier exists. Any id is
+    /// accepted, `u32::MAX` included.
     pub fn ensure_node(&mut self, id: NodeId) {
         self.adj.entry(id).or_default();
-        if id.raw() >= self.next_id {
-            self.next_id = id.raw() + 1;
-        }
+        self.next_id = self.next_id.max(id.raw().saturating_add(1));
     }
 
     /// Adds the undirected edge `{u, v}`.
@@ -329,6 +333,23 @@ mod tests {
         assert_eq!(g.node_count(), 1);
         let fresh = g.add_node();
         assert_eq!(fresh.raw(), 6);
+    }
+
+    #[test]
+    fn the_largest_id_is_a_valid_node() {
+        let mut g = UndirectedGraph::new();
+        g.ensure_node(NodeId::new(u32::MAX));
+        g.ensure_node(NodeId::new(7));
+        g.add_edge(NodeId::new(7), NodeId::new(u32::MAX)).unwrap();
+        assert_eq!(g.node_count(), 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "no fresh node id left")]
+    fn add_node_refuses_to_reuse_the_largest_id() {
+        let mut g = UndirectedGraph::new();
+        g.ensure_node(NodeId::new(u32::MAX));
+        g.add_node();
     }
 
     #[test]

@@ -31,16 +31,15 @@
 //! (`run_until_capped` then `advance_to`), applies the feed's churn
 //! for that tick, enqueues the tick's arrivals, then admits up to
 //! `batch` queued requests and answers them via
-//! [`Driver::route_probe`] — a pure read of the current node states. A
+//! `Driver::route_probe` — a pure read of the current node states. A
 //! request's latency is its queue wait in ticks plus the probed path's
 //! summed link delay; its stretch is the probed hop count over the
 //! live BFS distance at answer time. Probes are fanned out over worker
 //! threads but **folded in admission order**, so the report — and its
 //! rendering — is byte-identical for a fixed `(spec, seed, flags)`
 //! across runs *and across `--threads` values*. Wall-clock throughput
-//! (`requests_per_sec`) lives only in the persisted
-//! [`ServeRecord`](lr_bench::trajectory::ServeRecord) row, which
-//! records how fast, never what.
+//! (`requests_per_sec`) lives only in the persisted [`ServeRecord`]
+//! row, which records how fast, never what.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::time::Instant;

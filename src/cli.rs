@@ -25,7 +25,7 @@ use lr_core::invariants::{
     check_inv_4_2,
 };
 use lr_core::trace::Trace;
-use lr_graph::{dot, generate, parse, CsrInstance, DirectedView, ReversalInstance};
+use lr_graph::{dot, generate, parse, CsrInstance, GraphError, ReversalInstance};
 use lr_obs::{ObsMode, ObsSession};
 
 /// A CLI-level error: message for the user, non-zero exit.
@@ -157,8 +157,20 @@ fn parse_policy(s: Option<&str>) -> Result<SchedulePolicy, CliError> {
     }
 }
 
+fn invalid_instance(e: GraphError) -> CliError {
+    err(format!("invalid instance: {e}"))
+}
+
+/// The piped instance in map form, for the commands that run the paper's
+/// automata or render the initial DAG (`check`, `dot`).
 fn parse_stdin_instance(input: &str) -> Result<ReversalInstance, CliError> {
-    parse::parse_instance(input).map_err(|e| err(format!("invalid instance: {e}")))
+    parse::parse_instance(input).map_err(invalid_instance)
+}
+
+/// The piped instance in flat form, for the commands that drive an
+/// engine (`run`, `trace`).
+fn parse_stdin_csr_instance(input: &str) -> Result<CsrInstance, CliError> {
+    parse::parse_csr_instance(input).map_err(invalid_instance)
 }
 
 /// Runs one CLI invocation: `args` excludes the program name; `stdin` is
@@ -400,37 +412,50 @@ fn cmd_run(args: &[&str], stdin: &str) -> Result<String, CliError> {
             "--threads above 1 requires the greedy policy (parallel rounds plan greedily)",
         ));
     }
-    let inst = parse_stdin_instance(stdin)?;
+    // Text → flat instance → engine → checks on the packed orientation
+    // bits, each phase in its own span beside the engine's `engine.run`.
+    let inst = {
+        let _s = lr_obs::span("run", "run.parse");
+        parse_stdin_csr_instance(stdin)?
+    };
+    let (nodes, initial_bad) = {
+        let _s = lr_obs::span("run", "run.check");
+        (inst.node_count(), inst.bad_node_count())
+    };
     // The engine is dropped before the final checks run.
-    let (stats, orientation) = {
-        let mut engine = kind.frontier_engine(CsrInstance::from_instance(&inst));
+    let (stats, last) = {
+        let mut engine = {
+            let _s = lr_obs::span("run", "run.build");
+            kind.frontier_engine(inst)
+        };
         let stats = if threads > 1 {
             run_engine_frontier_sharded(engine.as_mut(), threads, DEFAULT_MAX_STEPS)
         } else {
             run_engine_frontier(engine.as_mut(), policy, DEFAULT_MAX_STEPS)
         };
-        (stats, engine.orientation())
+        let _s = lr_obs::span("run", "run.check");
+        (stats, engine.flat_orientation())
     };
     if !stats.terminated {
         return Err(err("execution did not terminate within the step budget"));
     }
-    let view = DirectedView::new(&inst.graph, &orientation);
+    let (acyclic, dest_oriented) = {
+        let _s = lr_obs::span("run", "run.check");
+        (last.is_acyclic(), last.is_destination_oriented())
+    };
+    let _s = lr_obs::span("run", "run.render");
     let mut out = String::new();
     let _ = writeln!(out, "algorithm:        {}", stats.algorithm);
     let _ = writeln!(out, "engine:           frontier");
     let _ = writeln!(out, "threads:          {threads}");
-    let _ = writeln!(out, "nodes:            {}", inst.node_count());
-    let _ = writeln!(out, "initial bad:      {}", inst.initial_bad_nodes());
+    let _ = writeln!(out, "nodes:            {nodes}");
+    let _ = writeln!(out, "initial bad:      {initial_bad}");
     let _ = writeln!(out, "steps:            {}", stats.steps);
     let _ = writeln!(out, "total reversals:  {}", stats.total_reversals);
     let _ = writeln!(out, "rounds:           {}", stats.rounds);
     let _ = writeln!(out, "dummy steps:      {}", stats.dummy_steps);
-    let _ = writeln!(out, "acyclic:          {}", view.is_acyclic());
-    let _ = writeln!(
-        out,
-        "dest oriented:    {}",
-        view.is_destination_oriented(inst.dest)
-    );
+    let _ = writeln!(out, "acyclic:          {acyclic}");
+    let _ = writeln!(out, "dest oriented:    {dest_oriented}");
     Ok(out)
 }
 
@@ -440,8 +465,8 @@ fn cmd_trace(args: &[&str], stdin: &str) -> Result<String, CliError> {
         .ok_or_else(|| err(format!("trace needs an algorithm\n\n{USAGE}")))?;
     let kind = parse_alg(alg)?;
     let policy = parse_policy(rest.first().copied())?;
-    let inst = parse_stdin_instance(stdin)?;
-    let mut engine = kind.frontier_engine(CsrInstance::from_instance(&inst));
+    let inst = parse_stdin_csr_instance(stdin)?;
+    let mut engine = kind.frontier_engine(inst);
     let trace = Trace::record(engine.as_mut(), policy, DEFAULT_MAX_STEPS);
     trace
         .validate()
@@ -1362,6 +1387,24 @@ mod tests {
         assert!(text.contains("traceEvents"), "{text}");
         assert!(text.contains("engine.round"), "{text}");
         let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn run_with_obs_chrome_traces_every_phase() {
+        let inst = run_cli(&["generate", "grid", "16"], "").unwrap();
+        let out = run_cli(&["run", "PR", "--obs", "chrome"], &inst).unwrap();
+        for span in [
+            "run.parse",
+            "run.build",
+            "engine.run PR",
+            "run.check",
+            "run.render",
+        ] {
+            assert!(
+                out.contains(&format!("\"name\":\"{span}\"")),
+                "no {span} span in the trace:\n{out}"
+            );
+        }
     }
 
     #[test]

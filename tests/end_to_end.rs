@@ -184,3 +184,21 @@ fn destination_never_steps_anywhere() {
         }
     }
 }
+
+/// `lr generate grid 1000 | lr run PR` at a million nodes, in process:
+/// the flat parser's `u32` offsets and counting sort, the engine and the
+/// checks on the packed orientation at scale. No timing assert.
+#[test]
+#[ignore = "million-node run; seconds in release, runs in the CI --ignored tier"]
+fn run_pr_on_the_million_node_grid_text() {
+    use link_reversal::cli::run_cli;
+    let text = run_cli(&["generate", "grid", "1000"], "").expect("grid generates");
+    let out = run_cli(&["run", "PR"], &text).expect("PR runs");
+    for line in [
+        "nodes:            1000000\n",
+        "acyclic:          true\n",
+        "dest oriented:    true\n",
+    ] {
+        assert!(out.contains(line), "missing {line:?} in:\n{out}");
+    }
+}
